@@ -24,11 +24,14 @@ use anton2_md::vec3::Vec3;
 use anton2_md::System;
 use anton2_net::Torus;
 
-/// Per-pair assignment by the **neutral-territory rule**: each pair is
-/// computed at the node where the tower of one atom meets the plate of the
-/// other (`ntmethod::nt_node_for_pair`) — exactly how Anton distributes the
-/// range-limited computation.
-pub fn assign_pairs_nt(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32, u32)>> {
+/// Walk every in-range, non-excluded pair `(i, j)`, `i < j`, of the
+/// reference neighbor list once and file it under the node `node_of(i, j)`
+/// picks.
+fn assign_pairs_by(
+    system: &System,
+    n_nodes: u32,
+    node_of: impl Fn(usize, usize) -> u32,
+) -> Vec<Vec<(u32, u32)>> {
     let nl = NeighborList::build(
         &system.pbc,
         &system.positions,
@@ -36,7 +39,7 @@ pub fn assign_pairs_nt(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32,
         system.nb.skin,
     );
     let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let mut per_node = vec![Vec::new(); decomp.torus.n_nodes() as usize];
+    let mut per_node = vec![Vec::new(); n_nodes as usize];
     for i in 0..system.n_atoms() {
         for &j in nl.row(i) {
             let jj = j as usize;
@@ -46,44 +49,28 @@ pub fn assign_pairs_nt(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32,
                 < cutoff_sq
                 && !system.topology.exclusions.is_excluded(i, jj)
             {
-                let node = crate::ntmethod::nt_node_for_pair(
-                    decomp,
-                    system.positions[i],
-                    system.positions[jj],
-                );
-                per_node[node as usize].push((i as u32, j));
+                per_node[node_of(i, jj) as usize].push((i as u32, j));
             }
         }
     }
     per_node
 }
 
+/// Per-pair assignment by the **neutral-territory rule**: each pair is
+/// computed at the node where the tower of one atom meets the plate of the
+/// other (`ntmethod::nt_node_for_pair`) — exactly how Anton distributes the
+/// range-limited computation.
+pub fn assign_pairs_nt(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32, u32)>> {
+    assign_pairs_by(system, decomp.torus.n_nodes(), |i, j| {
+        crate::ntmethod::nt_node_for_pair(decomp, system.positions[i], system.positions[j])
+    })
+}
+
 /// Per-pair assignment: every in-range, non-excluded pair goes to exactly
 /// one node — the owner of its lower-indexed atom.
 pub fn assign_pairs(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32, u32)>> {
-    let nl = NeighborList::build(
-        &system.pbc,
-        &system.positions,
-        system.nb.cutoff,
-        system.nb.skin,
-    );
-    let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let mut per_node = vec![Vec::new(); decomp.torus.n_nodes() as usize];
-    for i in 0..system.n_atoms() {
-        let owner = decomp.owner(system.positions[i]) as usize;
-        for &j in nl.row(i) {
-            let jj = j as usize;
-            if system
-                .pbc
-                .dist_sq(system.positions[i], system.positions[jj])
-                < cutoff_sq
-                && !system.topology.exclusions.is_excluded(i, jj)
-            {
-                per_node[owner].push((i as u32, j));
-            }
-        }
-    }
-    per_node
+    let owners: Vec<u32> = system.positions.iter().map(|&p| decomp.owner(p)).collect();
+    assign_pairs_by(system, decomp.torus.n_nodes(), |i, _| owners[i])
 }
 
 /// Compute the range-limited nonbonded forces for one node's pair list into

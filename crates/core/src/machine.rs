@@ -449,7 +449,6 @@ impl Machine {
         }
 
         // Six 1D FFT stages with four transpose phases + influence multiply.
-        let dbg_rank_ready = rank_ready.clone();
         let mut stage_done = rank_ready;
         let fft_stage = |mach: &mut Machine,
                          flex_free: &mut [SimTime],
@@ -552,17 +551,6 @@ impl Machine {
             busy[i] += dur;
         }
         let span_end = interp_done.iter().copied().max().unwrap_or(span_start);
-        if std::env::var_os("ANTON2_TRACE_KSPACE").is_some() {
-            let mx = |v: &[SimTime]| v.iter().copied().max().unwrap_or(SimTime::ZERO);
-            eprintln!(
-                "kspace trace: spread_done {} rank_ready {} stages_done {} grid_back {} interp {}",
-                mx(&spread_done).saturating_sub(span_start),
-                mx(&dbg_rank_ready).saturating_sub(span_start),
-                mx(&stage_done).saturating_sub(span_start),
-                mx(&grid_back).saturating_sub(span_start),
-                span_end.saturating_sub(span_start),
-            );
-        }
         (interp_done, span_end.saturating_sub(span_start))
     }
 

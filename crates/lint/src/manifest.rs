@@ -131,11 +131,9 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     ("stream.rs", "patch_at_epoch"),
     // Cell binning allocates the CSR arrays on (re)build.
     ("cells.rs", "build"),
-    // Neighbor-list construction and the per-epoch rebuild grow the CSR
-    // and reference-position buffers; both are amortized over the skin
-    // interval, not per-step work.
-    ("neighbor.rs", "build_with"),
-    ("neighbor.rs", "rebuild"),
+    // Reference neighbor list: built once per co-sim functional check
+    // (below), never by the engine.
+    ("neighbor.rs", "build"),
     // Shard exchange planning builds the per-shard row plan once per
     // refresh epoch (reached from `sync`, not from the per-step replay).
     ("shard.rs", "plan"),
@@ -147,8 +145,8 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     // Co-sim verification harness: runs per functional check, not per MD
     // step — its pair assignment and scratch vectors are out of scope for
     // the steady-state zero-alloc claim.
+    ("cosim.rs", "assign_pairs_by"),
     ("cosim.rs", "assign_pairs"),
-    ("cosim.rs", "assign_pairs_nt"),
     ("cosim.rs", "node_pair_forces"),
     ("cosim.rs", "verify_pair_forces_with"),
     // Machine-model task schedule construction (timing model, not the MD

@@ -420,8 +420,6 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pairkernel.rs", "pair_interaction_lanes"),
     ("erfc.rs", "erfc_exp_fast"),
     ("erfc.rs", "erfc_exp_fast8"),
-    ("neighbor.rs", "assemble_ext"),
-    ("neighbor.rs", "filter_rows"),
     ("pairkernel.rs", "lj_shift_at"),
     ("pairkernel.rs", "excluded_corrections"),
     ("pairkernel.rs", "scaled14_corrections"),
@@ -455,6 +453,10 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("fixedpoint.rs", "merge"),
     ("cells.rs", "forward_shifts"),
     ("cells.rs", "min_width"),
+    // The reference `NeighborList` walks cells by index, and the co-sim's
+    // functional checks build one.
+    ("cells.rs", "neighborhood"),
+    ("cells.rs", "forward_neighbors"),
     ("integrate.rs", "kick"),
     ("integrate.rs", "drift"),
     ("integrate.rs", "langevin_o_step"),
@@ -478,19 +480,12 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
 /// calls them anymore, so the hand-written list was over-approximating.
 /// The call-graph pass makes the drift visible — these must resolve as
 /// symbols but must *not* be derived hot:
-/// * `cells.rs` `cell_of`/`neighborhood`/`forward_neighbors` — the
-///   short-range rework moved cell-pair traversal to `forward_shifts`
-///   (shift-based, division-free); the index-only walkers survive for
-///   tests and external callers.
+/// * `cells.rs` `cell_of` — binning computes the cell index inline; the
+///   standalone lookup survives for tests and external callers.
 /// * `bonded.rs` `dihedral_angle` — the fused `torsion_phi_and_forces`
 ///   computes φ inline; the standalone wrapper now serves only the
 ///   topology builders and geometry tests.
-const LEGACY_STALE: &[(&str, &str)] = &[
-    ("cells.rs", "cell_of"),
-    ("cells.rs", "neighborhood"),
-    ("cells.rs", "forward_neighbors"),
-    ("bonded.rs", "dihedral_angle"),
-];
+const LEGACY_STALE: &[(&str, &str)] = &[("cells.rs", "cell_of"), ("bonded.rs", "dihedral_angle")];
 
 #[test]
 fn derived_hot_set_is_a_strict_superset_of_the_legacy_manifest() {

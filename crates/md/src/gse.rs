@@ -693,8 +693,8 @@ impl Gse {
     // ------------------------------------------------------------------
     // Pre-rework fused kernels, kept as oracles: one fused Gaussian `exp`
     // and one `rem_euclid` per grid point, spherical support truncation.
-    // They anchor the accuracy gate (`examples/gse_gate.rs`) and the
-    // before/after columns in `BENCH_phases.json`.
+    // `tests::separable_matches_fused_reference` scores the separable
+    // kernels against them.
     // ------------------------------------------------------------------
 
     /// Fused-kernel reference spread (the pre-separable implementation):
@@ -1137,6 +1137,21 @@ mod tests {
                 "atom {i}: separable {a:?} vs fused {b:?}"
             );
         }
+        // Keeping the corners must not cost accuracy: scored against the
+        // classic-Ewald oracle, the separable kernels are no worse than the
+        // fused ones (20 % slack for the differing truncation geometry).
+        let ks = EwaldKSpace::for_box(0.5, &pbc, 1e-12);
+        let mut f_oracle = vec![Vec3::ZERO; positions.len()];
+        let e_oracle = ks.energy_forces(&pbc, &positions, &charges, &mut f_oracle);
+        let f_err = |f: &[Vec3]| {
+            f.iter()
+                .zip(&f_oracle)
+                .map(|(a, b)| (*a - *b).norm() / (1.0 + b.norm()))
+                .fold(0.0f64, f64::max)
+        };
+        let e_err = |e: f64| (e - e_oracle).abs() / e_oracle.abs().max(1.0);
+        assert!(e_err(e_sep) <= 1.2 * e_err(e_ref) + 1e-6);
+        assert!(f_err(&f_sep) <= 1.2 * f_err(&f_ref) + 1e-6);
     }
 
     #[test]

@@ -1,374 +1,91 @@
-//! Verlet neighbor lists with a skin buffer.
+//! Build-once reference neighbor list — the oracle the production stream
+//! is checked against.
 //!
-//! The list stores each unordered pair once, under the lower-indexed atom
-//! (half list, CSR layout). Construction is a two-level scheme:
+//! A half list (each unordered pair stored once, under the lower-indexed
+//! atom, CSR layout) of every pair within `cutoff + skin`, found by a
+//! direct serial scan: cell pairs from the index-only half-shell walk
+//! ([`CellGrid::forward_neighbors`]) when the box holds at least 3 cells
+//! per axis, all pairs otherwise, every candidate measured with the
+//! division-form [`PbcBox::dist_sq`] on the raw positions. Rows are sorted,
+//! so the list is a pure function of its inputs.
 //!
-//! * An **extended list** is scanned from the cell grid at radius
-//!   `range_ext` — one full cell width, the largest radius the 27-cell
-//!   neighborhood covers for free (the grid is sized for `range`, so the
-//!   candidate volume is identical to a plain `range` scan; only the accept
-//!   threshold grows). The scan runs parallel over cells with rayon, each
-//!   cell's candidate list deterministic, using per-cell-pair periodic
-//!   shifts ([`CellGrid::forward_shifts`]) so no candidate needs a
-//!   division-based minimum image.
-//! * The **working list** (the public `start`/`partners` CSR) is a cutoff
-//!   filter of the extended list at `range`, evaluated with the branch-based
-//!   [`HalfBox`] fold on wrapped coordinates.
-//!
-//! The margin `range_ext − range` buys an incremental rebuild: while no atom
-//! has drifted more than half the margin from the extended list's build
-//! positions, the extended list still contains every pair within `range`,
-//! so [`NeighborList::rebuild`] only re-runs the filter (**verify and
-//! patch**, [`ListBuild::Patched`]) instead of re-scanning the grid. Fresh
-//! and patched rebuilds run the same filter over the same extended CSR, so
-//! their output is bitwise identical by construction.
-//!
-//! CSR assembly uses a two-pass counting sort over the per-cell candidate
-//! lists (bucket by partner, then scatter partners in ascending order), so
-//! rows emerge sorted with no per-row `sort_unstable` and the result is
-//! independent of how the cell scan was chunked.
+//! It deliberately shares no algorithm with [`crate::stream`], which owns
+//! everything a running engine needs (cell-major permutation, extended
+//! list, verify-and-patch, exclusion baking, rebuild triggers): no wrapped
+//! snapshot, no shift-based minimum image, no margin, no exclusions, no
+//! in-place update. `pairkernel::nonbonded_forces` and
+//! `pairkernel::count_interactions` walk it in tests and in the co-sim's
+//! functional checks.
 
 use crate::cells::CellGrid;
-use crate::pbc::{HalfBox, PbcBox};
-use crate::topology::Exclusions;
+use crate::pbc::PbcBox;
 use crate::vec3::Vec3;
-use rayon::prelude::*;
 
-/// Fixed chunk count for the all-pairs fallback (small boxes), so its
-/// output is independent of the thread count.
-const FALLBACK_CHUNKS: usize = 16;
-
-/// Safety margin subtracted from the patch drift budget. The drift check
-/// measures displacement with the round-form `PbcBox::dist_sq` on raw
-/// positions while extended-list membership was decided with the fold-form
-/// metric on wrapped positions; the two differ by at most a few ulps at
-/// boundaries, which this guard absorbs (it is ~1e-4 of a typical skin).
-const MARGIN_GUARD: f64 = 1e-9;
-
-/// Why a neighbor list (or the streaming kernel's baked stream) had to be
-/// rebuilt. Threaded out to the telemetry counters so skin-triggered and
-/// box-triggered rebuilds are distinguishable — a barostat run that
-/// rebuilds every coupling period looks very different from a hot system
-/// churning through its skin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RebuildReason {
-    /// First build (cold list/stream).
-    Initial,
-    /// Some atom drifted more than `skin/2` from its build-time position.
-    SkinExceeded,
-    /// The periodic box changed (barostat rescale), so build-time geometry
-    /// is invalid regardless of drift.
-    BoxChanged,
-    /// Explicitly invalidated (checkpoint restore, parameter change).
-    Invalidated,
-}
-
-/// How the last [`NeighborList::rebuild`] satisfied its request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ListBuild {
-    /// Full reconstruction: cell grid, extended scan, counting-sort
-    /// assembly, filter.
-    Fresh,
-    /// Verify-and-patch: every atom was still within half the extended
-    /// margin of the extended list's build positions, so only the cutoff
-    /// filter ran.
-    Patched,
-}
-
-/// Reusable construction scratch: per-cell (or per-chunk, in the all-pairs
-/// fallback) candidate pair lists, the wrapped-coordinate snapshot, and the
-/// counting-sort buckets. Kept inside the list so rebuilds reuse capacity
-/// instead of reallocating each time.
-#[derive(Clone, Debug, Default)]
-struct BuildScratch {
-    pairs: Vec<Vec<(u32, u32)>>,
-    /// Positions wrapped into the primary cell — the coordinate space both
-    /// the extended scan and the cutoff filter measure distances in.
-    wrapped: Vec<Vec3>,
-    /// Counting sort, pass A: per-partner bucket starts (length n+1) …
-    bucket_start: Vec<usize>,
-    /// … and the bucketed lower indices.
-    bucket_i: Vec<u32>,
-    /// Scatter cursors, reused by both passes.
-    cursor: Vec<usize>,
-}
-
-/// A half neighbor list valid until some atom moves more than `skin/2`.
+/// A half neighbor list of `positions` as they were at build time.
 #[derive(Clone, Debug)]
 pub struct NeighborList {
     /// CSR row starts, length `n_atoms + 1`.
     pub start: Vec<usize>,
     /// Partner indices `j` (always `> i` for row `i`), sorted within a row.
     pub partners: Vec<u32>,
-    /// Extended-list CSR row starts (radius `range_ext`), length n+1.
-    ext_start: Vec<usize>,
-    /// Extended-list partners; the working list is always a subset.
-    ext_partners: Vec<u32>,
-    /// Positions at the last *fresh* build — the extended list's epoch, the
-    /// reference for the patch drift budget.
-    ext_ref_positions: Vec<Vec3>,
-    /// Positions at build time, for the displacement rebuild criterion.
-    ref_positions: Vec<Vec3>,
-    /// Box at build time, for the box-change rebuild criterion.
-    ref_pbc: PbcBox,
     /// Interaction range the list was built for (cutoff + skin).
     pub range: f64,
-    /// Extended scan radius: one cell width on the cell path (`≥ range` by
-    /// grid construction), exactly `range` on the all-pairs fallback.
-    pub range_ext: f64,
-    skin: f64,
-    last_build: ListBuild,
-    scratch: BuildScratch,
 }
 
 impl NeighborList {
-    /// Build a fresh list for `positions` with interaction `cutoff` and
-    /// buffer `skin`.
+    /// Build the list for `positions` with interaction `cutoff` and buffer
+    /// `skin`.
     pub fn build(pbc: &PbcBox, positions: &[Vec3], cutoff: f64, skin: f64) -> Self {
-        Self::build_with(pbc, positions, cutoff, skin, None)
-    }
-
-    /// [`NeighborList::build`] with the fully excluded pairs of `excl`
-    /// baked out of the list at construction time. Topology is static, so a
-    /// kernel walking the baked list never needs `is_excluded`.
-    pub fn build_with(
-        pbc: &PbcBox,
-        positions: &[Vec3],
-        cutoff: f64,
-        skin: f64,
-        excl: Option<&Exclusions>,
-    ) -> Self {
-        let mut nl = NeighborList {
-            start: Vec::new(),
-            partners: Vec::new(),
-            ext_start: Vec::new(),
-            ext_partners: Vec::new(),
-            ext_ref_positions: Vec::new(),
-            ref_positions: Vec::new(),
-            ref_pbc: *pbc,
-            range: cutoff + skin,
-            range_ext: cutoff + skin,
-            skin,
-            last_build: ListBuild::Fresh,
-            scratch: BuildScratch::default(),
-        };
-        nl.rebuild(pbc, positions, excl);
-        nl
-    }
-
-    /// Rebuild the list in place for new `positions` (and possibly a new
-    /// box), reusing the CSR arrays and build scratch. Output is bitwise
-    /// identical to a fresh [`NeighborList::build_with`] at the same inputs
-    /// whether the rebuild runs fresh or patches (see the module docs).
-    ///
-    /// The exclusion set must be the one the extended list was built with
-    /// (topology is static in a run); to change exclusions, build a new
-    /// list.
-    pub fn rebuild(&mut self, pbc: &PbcBox, positions: &[Vec3], excl: Option<&Exclusions>) {
+        let range = cutoff + skin;
+        let range_sq = range * range;
         let n = positions.len();
-        if self.can_patch(pbc, positions) {
-            self.wrap_into_scratch(pbc, positions);
-            self.filter_rows(n);
-            self.ref_positions.clear();
-            self.ref_positions.extend_from_slice(positions);
-            self.last_build = ListBuild::Patched;
-            return;
-        }
-
-        self.ref_positions.clear();
-        self.ref_positions.extend_from_slice(positions);
-        self.ext_ref_positions.clear();
-        self.ext_ref_positions.extend_from_slice(positions);
-        self.ref_pbc = *pbc;
-        self.wrap_into_scratch(pbc, positions);
-
-        if let Some(grid) = CellGrid::build(pbc, positions, self.range) {
-            self.range_ext = grid.min_width();
-            let ext_sq = self.range_ext * self.range_ext;
-            let ncells = grid.n_cells();
-            let scratch = &mut self.scratch;
-            if scratch.pairs.len() < ncells {
-                scratch.pairs.resize_with(ncells, Vec::new);
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut test = |a: u32, b: u32| {
+            if pbc.dist_sq(positions[a as usize], positions[b as usize]) < range_sq {
+                rows[a.min(b) as usize].push(a.max(b));
             }
-            let wrapped = &scratch.wrapped;
-            // Half-shell traversal: cell c generates its own i<j pairs plus
-            // all cross pairs with forward (higher-indexed) neighbor cells,
-            // so each candidate pair gets exactly one distance check. The
-            // per-relation shift replaces the division-based minimum image.
-            scratch.pairs[..ncells]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(c, pairs)| {
-                    pairs.clear();
-                    let own = grid.cell(c);
-                    for (k, &a) in own.iter().enumerate() {
-                        let wa = wrapped[a as usize];
-                        for &b in &own[k + 1..] {
-                            let d = wa - wrapped[b as usize];
-                            if d.norm_sq() < ext_sq {
-                                pairs.push((a.min(b), a.max(b)));
-                            }
+        };
+        if let Some(grid) = CellGrid::build(pbc, positions, range) {
+            // Each unordered pair of adjacent cells is visited once, from
+            // its lower-indexed cell, so every candidate is measured once.
+            let mut fwd = [0usize; 26];
+            for c in 0..grid.n_cells() {
+                let own = grid.cell(c);
+                for (k, &a) in own.iter().enumerate() {
+                    for &b in &own[k + 1..] {
+                        test(a, b);
+                    }
+                }
+                let len = grid.forward_neighbors(c, &mut fwd);
+                for &c2 in &fwd[..len] {
+                    for &a in own {
+                        for &b in grid.cell(c2) {
+                            test(a, b);
                         }
                     }
-                    let mut fwd = [(0usize, Vec3::ZERO); 26];
-                    let len = grid.forward_shifts(c, &mut fwd);
-                    for &(c2, shift) in &fwd[..len] {
-                        for &a in own {
-                            let wa = wrapped[a as usize];
-                            for &b in grid.cell(c2) {
-                                let d = (wa - wrapped[b as usize]) - shift;
-                                if d.norm_sq() < ext_sq {
-                                    pairs.push((a.min(b), a.max(b)));
-                                }
-                            }
-                        }
-                    }
-                    if let Some(excl) = excl {
-                        pairs.retain(|&(i, j)| !excl.is_excluded(i as usize, j as usize));
-                    }
-                });
-            self.assemble_ext(n, ncells);
-        } else {
-            // Box too small for cells: all-pairs scan in fixed chunks. No
-            // margin (the extended list *is* the working list's candidate
-            // set), so patching only fires at exactly zero drift.
-            self.range_ext = self.range;
-            let ext_sq = self.range_ext * self.range_ext;
-            let hb = HalfBox::new(pbc);
-            let scratch = &mut self.scratch;
-            if scratch.pairs.len() < FALLBACK_CHUNKS {
-                scratch.pairs.resize_with(FALLBACK_CHUNKS, Vec::new);
-            }
-            let wrapped = &scratch.wrapped;
-            scratch.pairs[..FALLBACK_CHUNKS]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(c, pairs)| {
-                    pairs.clear();
-                    let lo = c * n / FALLBACK_CHUNKS;
-                    let hi = (c + 1) * n / FALLBACK_CHUNKS;
-                    for i in lo..hi {
-                        let wi = wrapped[i];
-                        for (j, &wj) in wrapped.iter().enumerate().skip(i + 1) {
-                            if hb.min_image(wi - wj).norm_sq() < ext_sq
-                                && !excl.is_some_and(|e| e.is_excluded(i, j))
-                            {
-                                pairs.push((i as u32, j as u32));
-                            }
-                        }
-                    }
-                });
-            self.assemble_ext(n, FALLBACK_CHUNKS);
-        }
-        self.filter_rows(n);
-        self.last_build = ListBuild::Fresh;
-    }
-
-    /// Whether the extended list can still serve `positions`: same box and
-    /// atom count, and every atom within half the extended margin of the
-    /// fresh-build epoch (minus [`MARGIN_GUARD`]). Under that budget any
-    /// pair now within `range` was within `range_ext` at the epoch, so
-    /// filtering the extended list is exact.
-    fn can_patch(&self, pbc: &PbcBox, positions: &[Vec3]) -> bool {
-        if *pbc != self.ref_pbc || positions.len() != self.ext_ref_positions.len() {
-            return false;
-        }
-        let limit = 0.5 * (self.range_ext - self.range) - MARGIN_GUARD;
-        if limit <= 0.0 || self.ext_ref_positions.is_empty() {
-            return false;
-        }
-        let limit_sq = limit * limit;
-        positions
-            .iter()
-            .zip(&self.ext_ref_positions)
-            .all(|(&p, &r)| pbc.dist_sq(p, r) <= limit_sq)
-    }
-
-    /// Wrap `positions` into the primary cell (the distance metric of both
-    /// the extended scan and the cutoff filter).
-    fn wrap_into_scratch(&mut self, pbc: &PbcBox, positions: &[Vec3]) {
-        let wrapped = &mut self.scratch.wrapped;
-        wrapped.resize(positions.len(), Vec3::ZERO);
-        for (w, &p) in wrapped.iter_mut().zip(positions) {
-            *w = pbc.wrap(p);
-        }
-    }
-
-    /// Assemble the per-cell candidate lists into the extended CSR with a
-    /// two-pass counting sort: bucket each pair under its partner `j`
-    /// (pass A), then scatter partners into rows with `j` ascending
-    /// (pass B) — rows emerge sorted with no per-row sort, and the result
-    /// is independent of how the scan distributed pairs across lists.
-    fn assemble_ext(&mut self, n: usize, n_lists: usize) {
-        let lists = &self.scratch.pairs[..n_lists];
-        let bstart = &mut self.scratch.bucket_start;
-        bstart.clear();
-        bstart.resize(n + 1, 0);
-        let mut total = 0usize;
-        for pairs in lists {
-            total += pairs.len();
-            for &(_, j) in pairs.iter() {
-                bstart[j as usize + 1] += 1;
-            }
-        }
-        for j in 0..n {
-            bstart[j + 1] += bstart[j];
-        }
-        let cursor = &mut self.scratch.cursor;
-        cursor.resize(n, 0);
-        cursor.copy_from_slice(&bstart[..n]);
-        let bucket_i = &mut self.scratch.bucket_i;
-        bucket_i.resize(total, 0);
-        for pairs in lists {
-            for &(i, j) in pairs.iter() {
-                bucket_i[cursor[j as usize]] = i;
-                cursor[j as usize] += 1;
-            }
-        }
-
-        self.ext_start.clear();
-        self.ext_start.resize(n + 1, 0);
-        for &i in bucket_i.iter() {
-            self.ext_start[i as usize + 1] += 1;
-        }
-        for i in 0..n {
-            self.ext_start[i + 1] += self.ext_start[i];
-        }
-        cursor.copy_from_slice(&self.ext_start[..n]);
-        self.ext_partners.resize(total, 0);
-        for j in 0..n {
-            for &i in &bucket_i[bstart[j]..bstart[j + 1]] {
-                self.ext_partners[cursor[i as usize]] = j as u32;
-                cursor[i as usize] += 1;
-            }
-        }
-    }
-
-    /// Produce the working CSR by filtering the extended list at `range`,
-    /// measured with the fold-form minimum image on the wrapped snapshot.
-    /// Shared verbatim by fresh and patched rebuilds — the bitwise
-    /// fresh≡patch guarantee rests on this being the *same* code over the
-    /// same extended rows.
-    fn filter_rows(&mut self, n: usize) {
-        let hb = HalfBox::new(&self.ref_pbc);
-        let range_sq = self.range * self.range;
-        let wrapped = &self.scratch.wrapped;
-        self.start.clear();
-        self.start.resize(n + 1, 0);
-        self.partners.resize(self.ext_partners.len(), 0);
-        let mut w = 0usize;
-        for i in 0..n {
-            let wi = wrapped[i];
-            for &j in &self.ext_partners[self.ext_start[i]..self.ext_start[i + 1]] {
-                let d = hb.min_image(wi - wrapped[j as usize]);
-                if d.norm_sq() < range_sq {
-                    self.partners[w] = j;
-                    w += 1;
                 }
             }
-            self.start[i + 1] = w;
+        } else {
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    test(a, b);
+                }
+            }
         }
-        self.partners.truncate(w);
+
+        let mut start = Vec::with_capacity(n + 1);
+        let mut partners = Vec::new();
+        start.push(0);
+        for row in &mut rows {
+            row.sort_unstable();
+            partners.extend_from_slice(row);
+            start.push(partners.len());
+        }
+        NeighborList {
+            start,
+            partners,
+            range,
+        }
     }
 
     /// Number of stored (unordered) pairs.
@@ -376,43 +93,10 @@ impl NeighborList {
         self.partners.len()
     }
 
-    /// Number of pairs in the extended candidate list.
-    pub fn n_ext_pairs(&self) -> usize {
-        self.ext_partners.len()
-    }
-
-    /// How the last rebuild was satisfied (fresh scan or verify-and-patch).
-    pub fn last_build(&self) -> ListBuild {
-        self.last_build
-    }
-
     /// Partners of atom `i` (all with index > `i`).
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
         &self.partners[self.start[i]..self.start[i + 1]]
-    }
-
-    /// Whether the list is stale for `positions` in `pbc`, and why:
-    /// `Some(BoxChanged)` if the box differs from build time (checked
-    /// first — a rescale moves every reference position too, so drift
-    /// against them is meaningless), `Some(SkinExceeded)` if any atom
-    /// drifted more than `skin/2`, `None` if the list is still valid.
-    pub fn rebuild_reason(&self, pbc: &PbcBox, positions: &[Vec3]) -> Option<RebuildReason> {
-        if *pbc != self.ref_pbc {
-            return Some(RebuildReason::BoxChanged);
-        }
-        let limit_sq = (self.skin / 2.0) * (self.skin / 2.0);
-        let drifted = positions
-            .iter()
-            .zip(&self.ref_positions)
-            .any(|(&p, &r)| pbc.dist_sq(p, r) > limit_sq);
-        drifted.then_some(RebuildReason::SkinExceeded)
-    }
-
-    /// Whether any atom has drifted far enough that the list may now miss a
-    /// pair inside the true cutoff, or the box changed under the list.
-    pub fn needs_rebuild(&self, pbc: &PbcBox, positions: &[Vec3]) -> bool {
-        self.rebuild_reason(pbc, positions).is_some()
     }
 }
 
@@ -460,14 +144,23 @@ mod tests {
 
     #[test]
     fn matches_brute_force_large_box() {
+        // Sorted rows in row order are exactly the brute-force (i, j) scan
+        // order, so neither side needs sorting.
         let pbc = PbcBox::cubic(40.0);
         let pos = random_positions(300, 40.0, 3);
         let nl = NeighborList::build(&pbc, &pos, 9.0, 1.0);
-        let mut got = list_pairs(&nl);
-        let mut want = brute_force_pairs(&pbc, &pos, 10.0);
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(list_pairs(&nl), brute_force_pairs(&pbc, &pos, 10.0));
+
+        // Non-cubic box, atoms up to two box lengths outside the primary
+        // cell: binning wraps them, the distance test takes the minimum
+        // image of the raw coordinates.
+        let pbc = PbcBox::new(40.0, 33.0, 47.0);
+        let mut pos = random_positions(200, 33.0, 15);
+        for (k, p) in pos.iter_mut().enumerate() {
+            *p += v3(40.0, -33.0, 94.0) * (k % 3) as f64;
+        }
+        let nl = NeighborList::build(&pbc, &pos, 9.0, 1.0);
+        assert_eq!(list_pairs(&nl), brute_force_pairs(&pbc, &pos, 10.0));
     }
 
     #[test]
@@ -475,25 +168,17 @@ mod tests {
         let pbc = PbcBox::cubic(18.0);
         let pos = random_positions(100, 18.0, 5);
         let nl = NeighborList::build(&pbc, &pos, 7.0, 1.0); // 18/8 = 2 cells → fallback
-        let mut got = list_pairs(&nl);
-        let mut want = brute_force_pairs(&pbc, &pos, 8.0);
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(list_pairs(&nl), brute_force_pairs(&pbc, &pos, 8.0));
     }
 
     #[test]
-    fn rows_are_sorted_without_per_row_sort() {
+    fn rows_are_sorted() {
         let pbc = PbcBox::cubic(40.0);
         let pos = random_positions(300, 40.0, 7);
         let nl = NeighborList::build(&pbc, &pos, 9.0, 1.0);
         for i in 0..pos.len() {
             assert!(nl.row(i).windows(2).all(|w| w[0] < w[1]), "row {i}");
         }
-        // The extended list must be a superset of the working list, with
-        // margin: the grid at range 10 over a 40 Å box also has 10 Å cells,
-        // so here range_ext == range and the two coincide.
-        assert!(nl.n_ext_pairs() >= nl.n_pairs());
     }
 
     #[test]
@@ -512,64 +197,12 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_criterion() {
-        let pbc = PbcBox::cubic(40.0);
-        let mut pos = random_positions(50, 40.0, 11);
-        let nl = NeighborList::build(&pbc, &pos, 9.0, 1.0);
-        assert!(!nl.needs_rebuild(&pbc, &pos));
-        // Move one atom just under skin/2: still fine.
-        pos[7] += v3(0.49, 0.0, 0.0);
-        assert!(!nl.needs_rebuild(&pbc, &pos));
-        // Past skin/2: rebuild required.
-        pos[7] += v3(0.02, 0.0, 0.0);
-        assert!(nl.needs_rebuild(&pbc, &pos));
-    }
-
-    #[test]
-    fn box_change_triggers_rebuild_with_distinct_reason() {
-        // Regression: a barostat rescale moves atoms by far less than
-        // skin/2 but invalidates the list geometry; the reason must come
-        // out as BoxChanged, distinguishable from skin-triggered rebuilds.
-        let pbc = PbcBox::cubic(40.0);
-        let mut pos = random_positions(100, 40.0, 17);
-        let nl = NeighborList::build(&pbc, &pos, 9.0, 1.0);
-        assert_eq!(nl.rebuild_reason(&pbc, &pos), None);
-
-        let mu = 1.0005; // tiny rescale: max drift ≈ 0.02 Å ≪ skin/2
-        let scaled = PbcBox::new(pbc.lx * mu, pbc.ly * mu, pbc.lz * mu);
-        let scaled_pos: Vec<Vec3> = pos.iter().map(|&p| p * mu).collect();
-        assert_eq!(
-            nl.rebuild_reason(&scaled, &scaled_pos),
-            Some(RebuildReason::BoxChanged)
-        );
-        assert!(nl.needs_rebuild(&scaled, &scaled_pos));
-
-        // Drift in the *original* box reports SkinExceeded, not BoxChanged.
-        pos[3] += v3(0.6, 0.0, 0.0);
-        assert_eq!(
-            nl.rebuild_reason(&pbc, &pos),
-            Some(RebuildReason::SkinExceeded)
-        );
-    }
-
-    #[test]
-    fn rebuild_criterion_respects_pbc() {
-        // An atom drifting across the boundary is a tiny *periodic*
-        // displacement and must not trigger a rebuild.
-        let pbc = PbcBox::cubic(40.0);
-        let mut pos = vec![v3(0.05, 1.0, 1.0)];
-        let nl = NeighborList::build(&pbc, &pos, 9.0, 1.0);
-        pos[0].x = 39.95; // moved −0.1 through the wall
-        assert!(!nl.needs_rebuild(&pbc, &pos));
-    }
-
-    #[test]
     fn skin_keeps_list_valid_while_atoms_drift() {
         let pbc = PbcBox::cubic(40.0);
         let mut pos = random_positions(150, 40.0, 13);
         let cutoff = 9.0;
         let nl = NeighborList::build(&pbc, &pos, cutoff, 1.0);
-        // Drift everything by up to skin/2 in random directions.
+        // Drift everything by just under skin/2 in random directions.
         let mut rng = StdRng::seed_from_u64(1);
         for p in &mut pos {
             let d = v3(
@@ -579,7 +212,6 @@ mod tests {
             );
             *p += d.normalized() * 0.49;
         }
-        assert!(!nl.needs_rebuild(&pbc, &pos));
         // Every pair now inside the *true* cutoff must be present in the
         // stale list.
         let inside = brute_force_pairs(&pbc, &pos, cutoff);
@@ -597,103 +229,5 @@ mod tests {
         let b = NeighborList::build(&pbc, &pos, 9.0, 1.0);
         assert_eq!(a.start, b.start);
         assert_eq!(a.partners, b.partners);
-    }
-
-    /// Dense random exclusion table over `n` atoms (symmetric, sorted rows).
-    fn random_exclusions(n: usize, seed: u64) -> Exclusions {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut full: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng.gen::<f64>() < 0.05 {
-                    full[i].push(j as u32);
-                    full[j].push(i as u32);
-                }
-            }
-        }
-        for row in &mut full {
-            row.sort_unstable();
-        }
-        Exclusions {
-            full,
-            pairs14: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn baking_exactly_reproduces_is_excluded_semantics() {
-        // Baked list == unbaked list minus exactly the is_excluded pairs, on
-        // both the cell path and the all-pairs fallback.
-        for (edge, cutoff) in [(40.0, 9.0), (18.0, 7.0)] {
-            let pbc = PbcBox::cubic(edge);
-            let pos = random_positions(250, edge, 31);
-            let excl = random_exclusions(250, 33);
-            let plain = NeighborList::build(&pbc, &pos, cutoff, 1.0);
-            let baked = NeighborList::build_with(&pbc, &pos, cutoff, 1.0, Some(&excl));
-            let want: Vec<(u32, u32)> = list_pairs(&plain)
-                .into_iter()
-                .filter(|&(i, j)| !excl.is_excluded(i as usize, j as usize))
-                .collect();
-            assert_eq!(list_pairs(&baked), want, "edge {edge}");
-            assert!(baked.n_pairs() < plain.n_pairs());
-        }
-    }
-
-    #[test]
-    fn in_place_rebuild_matches_fresh_build() {
-        let pbc = PbcBox::cubic(40.0);
-        let excl = random_exclusions(300, 41);
-        let mut nl = NeighborList::build_with(
-            &pbc,
-            &random_positions(300, 40.0, 43),
-            9.0,
-            1.0,
-            Some(&excl),
-        );
-        for seed in [44, 45, 46] {
-            let pos = random_positions(300, 40.0, seed);
-            nl.rebuild(&pbc, &pos, Some(&excl));
-            let fresh = NeighborList::build_with(&pbc, &pos, 9.0, 1.0, Some(&excl));
-            assert_eq!(nl.start, fresh.start, "seed {seed}");
-            assert_eq!(nl.partners, fresh.partners, "seed {seed}");
-            assert!(!nl.needs_rebuild(&pbc, &pos));
-        }
-    }
-
-    #[test]
-    fn patched_rebuild_is_bitwise_identical_to_fresh() {
-        // A 44 Å box at range 10 gives 4 cells of width 11: margin 1 Å, so
-        // drifts under ~0.5 Å take the patch path. The patched working list
-        // must match a fresh build bit for bit.
-        let pbc = PbcBox::cubic(44.0);
-        let mut pos = random_positions(300, 44.0, 51);
-        let excl = random_exclusions(300, 53);
-        let mut nl = NeighborList::build_with(&pbc, &pos, 9.0, 1.0, Some(&excl));
-        assert_eq!(nl.last_build(), ListBuild::Fresh);
-        assert!(nl.range_ext > nl.range, "margin must exist on this box");
-
-        let mut rng = StdRng::seed_from_u64(55);
-        for round in 0..3 {
-            for p in &mut pos {
-                let d = v3(
-                    rng.gen::<f64>() - 0.5,
-                    rng.gen::<f64>() - 0.5,
-                    rng.gen::<f64>() - 0.5,
-                );
-                *p += d.normalized() * 0.12; // cumulative drift stays < margin/2
-            }
-            nl.rebuild(&pbc, &pos, Some(&excl));
-            assert_eq!(nl.last_build(), ListBuild::Patched, "round {round}");
-            let fresh = NeighborList::build_with(&pbc, &pos, 9.0, 1.0, Some(&excl));
-            assert_eq!(nl.start, fresh.start, "round {round}");
-            assert_eq!(nl.partners, fresh.partners, "round {round}");
-        }
-
-        // Blow the margin budget: the next rebuild must fall back to fresh.
-        for p in &mut pos {
-            p.x += 1.0;
-        }
-        nl.rebuild(&pbc, &pos, Some(&excl));
-        assert_eq!(nl.last_build(), ListBuild::Fresh);
     }
 }

@@ -14,8 +14,9 @@ use crate::vec3::Vec3;
 /// 2/sqrt(pi), used in the Ewald real-space force.
 const TWO_OVER_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 
-/// Fixed chunk count of the parallel nonbonded kernels. Independent of the
-/// rayon thread count so the chunk-order reduction is bitwise reproducible.
+/// Fixed chunk count of the parallel streamed kernel (`crate::stream`, and
+/// the shard replay that reproduces its order). Independent of the rayon
+/// thread count so the chunk-order reduction is bitwise reproducible.
 pub const NB_CHUNKS: usize = 64;
 
 /// Energy/virial tallies from a nonbonded evaluation.
@@ -137,8 +138,10 @@ pub fn pair_interaction(
     (f_lj + f_coul, e_lj, e_coul)
 }
 
-/// Compute nonbonded forces from a half neighbor list, accumulating into
-/// `forces` and returning the energy tallies.
+/// Scalar reference kernel: nonbonded forces from a half neighbor list,
+/// accumulated into `forces`, with the energy tallies returned. The engine
+/// runs `crate::stream::nonbonded_forces_streamed`; this is the oracle it
+/// is checked against.
 ///
 /// Pairs beyond the true cutoff (the list range includes the skin) and fully
 /// excluded pairs are skipped.
@@ -181,86 +184,6 @@ pub fn nonbonded_forces(
         forces[i] += fi;
     }
     out
-}
-
-/// Parallel variant of [`nonbonded_forces`] with run-to-run deterministic
-/// output: atom rows are split into a *fixed* number of chunks
-/// ([`NB_CHUNKS`], independent of the rayon thread count), each chunk
-/// accumulates into a private force buffer, and buffers are reduced in chunk
-/// order. The result is bitwise reproducible across runs and thread counts
-/// (though not bitwise equal to the serial kernel, whose accumulation order
-/// differs).
-///
-/// `buffers` supplies the per-chunk accumulators (≥ [`NB_CHUNKS`] of them,
-/// e.g. `stream::NonbondedWorkspace::chunk_buffers_mut`); they are resized
-/// to the atom count and zeroed here, so a reused workspace makes repeated
-/// calls allocation-free.
-pub fn nonbonded_forces_parallel(
-    system: &System,
-    nl: &crate::neighbor::NeighborList,
-    forces: &mut [Vec3],
-    buffers: &mut [Vec<Vec3>],
-) -> NonbondedEnergy {
-    use rayon::prelude::*;
-    let n = system.n_atoms();
-    let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let alpha = system.nb.ewald_alpha;
-    let top = &system.topology;
-    let ff = &system.forcefield;
-    assert!(buffers.len() >= NB_CHUNKS, "need NB_CHUNKS chunk buffers");
-
-    let energies: Vec<NonbondedEnergy> = buffers[..NB_CHUNKS]
-        .par_iter_mut()
-        .enumerate()
-        .map(|(c, local)| {
-            local.resize(n, Vec3::ZERO);
-            local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-            let lo = c * n / NB_CHUNKS;
-            let hi = (c + 1) * n / NB_CHUNKS;
-            let mut out = NonbondedEnergy::default();
-            for i in lo..hi {
-                let pi = system.positions[i];
-                let qi = top.charges[i];
-                let ti = top.lj_types[i];
-                let mut fi = Vec3::ZERO;
-                for &j in nl.row(i) {
-                    let j = j as usize;
-                    let d = system.pbc.min_image(pi, system.positions[j]);
-                    let r_sq = d.norm_sq();
-                    if r_sq >= cutoff_sq || top.exclusions.is_excluded(i, j) {
-                        continue;
-                    }
-                    let lj = ff.lj(ti, top.lj_types[j]);
-                    let shift = lj_shift_at(lj.a, lj.b, cutoff_sq);
-                    let (f_lj, f_coul, e_lj, e_coul) =
-                        pair_interaction_split(r_sq, lj.a, lj.b, shift, qi * top.charges[j], alpha);
-                    let f_over_r = f_lj + f_coul;
-                    let f = d * f_over_r;
-                    fi += f;
-                    local[j] -= f;
-                    out.lj += e_lj;
-                    out.coulomb_real += e_coul;
-                    out.virial += f_over_r * r_sq;
-                    out.virial_lj += f_lj * r_sq;
-                }
-                local[i] += fi;
-            }
-            out
-        })
-        .collect();
-
-    // Deterministic reduction: chunk order is fixed.
-    let mut total = NonbondedEnergy::default();
-    for (local, e) in buffers[..NB_CHUNKS].iter().zip(&energies) {
-        for (f, l) in forces.iter_mut().zip(local) {
-            *f += *l;
-        }
-        total.lj += e.lj;
-        total.coulomb_real += e.coulomb_real;
-        total.virial += e.virial;
-        total.virial_lj += e.virial_lj;
-    }
-    total
 }
 
 /// LJ energy at the cutoff, used for potential-shift truncation.
@@ -540,40 +463,6 @@ mod tests {
         let s = two_atom_system(2.5, 0.5, 0.5);
         let (_, e) = forces_of(&s);
         assert!(e.virial > 0.0, "repulsive pair has positive virial");
-    }
-
-    #[test]
-    fn parallel_kernel_matches_serial() {
-        use crate::builders::water_box;
-        let s = water_box(5, 5, 5, 3);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let mut fs = vec![Vec3::ZERO; s.n_atoms()];
-        let es = nonbonded_forces(&s, &nl, &mut fs);
-        let mut fp = vec![Vec3::ZERO; s.n_atoms()];
-        let mut bufs: Vec<Vec<Vec3>> = (0..NB_CHUNKS).map(|_| Vec::new()).collect();
-        let ep = nonbonded_forces_parallel(&s, &nl, &mut fp, &mut bufs);
-        assert!((es.lj - ep.lj).abs() < 1e-9 * es.lj.abs().max(1.0));
-        assert!((es.coulomb_real - ep.coulomb_real).abs() < 1e-9 * es.coulomb_real.abs().max(1.0));
-        assert!((es.virial_lj - ep.virial_lj).abs() < 1e-9 * es.virial_lj.abs().max(1.0));
-        for (a, b) in fs.iter().zip(&fp) {
-            assert!((*a - *b).norm() < 1e-9 * (1.0 + a.norm()));
-        }
-    }
-
-    #[test]
-    fn parallel_kernel_is_run_deterministic() {
-        use crate::builders::water_box;
-        let s = water_box(4, 4, 4, 5);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let run = || {
-            let mut f = vec![Vec3::ZERO; s.n_atoms()];
-            let mut bufs: Vec<Vec<Vec3>> = (0..NB_CHUNKS).map(|_| Vec::new()).collect();
-            nonbonded_forces_parallel(&s, &nl, &mut f, &mut bufs);
-            f.iter()
-                .map(|v| v.x.to_bits() ^ v.y.to_bits() ^ v.z.to_bits())
-                .fold(0u64, |a, b| a ^ b)
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -43,7 +43,6 @@
 
 use crate::cells::CellGrid;
 use crate::forcefield::PairTable;
-use crate::neighbor::RebuildReason;
 use crate::pairkernel::{pair_interaction_lanes, NonbondedEnergy, LANES, NB_CHUNKS};
 use crate::pbc::{HalfBox, PbcBox};
 use crate::system::System;
@@ -59,8 +58,25 @@ const FALLBACK_CHUNKS: usize = 16;
 /// scan metric (cell-shift form on wrapped coordinates) and the drift
 /// metric (`PbcBox::dist_sq` on raw positions); the guard absorbs their
 /// ulp-level disagreement so a patched list can never miss a pair a fresh
-/// build at `range` would find. Mirrors `neighbor.rs`.
+/// build at `range` would find.
 const MARGIN_GUARD: f64 = 1e-9;
+
+/// Why the stream had to be refreshed. Threaded out to the telemetry
+/// counters so skin-triggered and box-triggered rebuilds are
+/// distinguishable — a barostat run that rebuilds every coupling period
+/// looks very different from a hot system churning through its skin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// First build (cold stream).
+    Initial,
+    /// Some atom drifted more than `skin/2` from its build-time position.
+    SkinExceeded,
+    /// The periodic box changed (barostat rescale), so build-time geometry
+    /// is invalid regardless of drift.
+    BoxChanged,
+    /// Explicitly invalidated (checkpoint restore, parameter change).
+    Invalidated,
+}
 
 /// How the current working list was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -598,12 +614,6 @@ impl NonbondedWorkspace {
     pub fn patch_at_epoch(&mut self, system: &System) {
         self.stream.patch(system);
     }
-
-    /// The `NB_CHUNKS` per-chunk force buffers, for callers that drive
-    /// `pairkernel::nonbonded_forces_parallel` directly.
-    pub fn chunk_buffers_mut(&mut self) -> &mut [Vec<Vec3>] {
-        &mut self.chunks
-    }
 }
 
 /// Evaluate one chunk of sorted rows against the stream, accumulating into
@@ -1076,7 +1086,6 @@ mod tests {
 
     #[test]
     fn rebuild_reasons_are_distinguished() {
-        use crate::neighbor::RebuildReason;
         use crate::telemetry::TelemetryLevel;
         let mut s = water_box(5, 5, 5, 19);
         let table = s.pair_table();

@@ -16,8 +16,7 @@
 //!    read, nothing is written, and nothing allocates (the zero-allocation
 //!    tests in `tests/alloc_short_force.rs` run through the instrumented
 //!    path). The only always-on cost is one integer increment per
-//!    cutoff-rejected pair in the streaming kernel, which is not
-//!    measurable above noise in `benches/nonbonded.rs`.
+//!    cutoff-rejected pair in the streaming kernel.
 //! 2. **Testable timing.** All timestamps come from a [`Clock`]; the
 //!    default [`MonotonicClock`] reads the OS monotonic clock, while
 //!    [`ManualClock`] advances by a fixed tick per read so phase
@@ -32,7 +31,7 @@
 //! [`StepProfile::breakdown_us`], so measured breakdowns sit side-by-side
 //! with the co-simulator's predicted ones (see EXPERIMENTS.md).
 
-use crate::neighbor::RebuildReason;
+use crate::stream::RebuildReason;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -8,8 +8,8 @@
 //! the serial and parallel paths.
 //!
 //! Accuracy (vs. the classic-Ewald oracle and the pre-rework fused
-//! kernels) is gated by the unit tests in `crates/md/src/gse.rs` and by
-//! `examples/gse_gate.rs`; this file gates only determinism.
+//! kernels) is gated by the unit tests in `crates/md/src/gse.rs`; this
+//! file gates only determinism.
 
 use anton2_fft::Grid3;
 use anton2_md::gse::{Gse, GseParams, GseWorkspace};

@@ -1,17 +1,26 @@
-//! Property test for the verify-and-patch neighbor rebuild: after ANY
-//! sequence of displacements — sub-margin jitter, cell-crossing jumps,
-//! barostat-style box rescales — an in-place [`NeighborList::rebuild`]
-//! must produce a working CSR **bitwise identical** to a fresh
-//! [`NeighborList::build`] at the same inputs, whether the rebuild ran
-//! fresh or patched from the retained extended list.
+//! Property test for the production stream's verify-and-patch refresh:
+//! after ANY sequence of displacements — jitter inside the patch budget,
+//! cell-crossing jumps, barostat-style box rescales — evaluating through
+//! one reused [`NonbondedWorkspace`] must give the forces, energies and
+//! in-cutoff pair count of the scalar reference kernel over a
+//! [`NeighborList`] built from scratch at the same positions, whether the
+//! stream kept its list, patched it from the retained extended list, or
+//! rebuilt it.
 
-use anton2_md::neighbor::{ListBuild, NeighborList};
+use anton2_md::forcefield::{ForceField, LjType, NonbondedSettings};
+use anton2_md::neighbor::NeighborList;
+use anton2_md::pairkernel::{count_interactions, nonbonded_forces};
 use anton2_md::pbc::PbcBox;
+use anton2_md::stream::{
+    nonbonded_forces_streamed, nonbonded_forces_streamed_profiled, NonbondedWorkspace, StreamBuild,
+};
+use anton2_md::telemetry::{Telemetry, TelemetryLevel};
+use anton2_md::topology::{Bond, Topology};
 use anton2_md::vec3::{v3, Vec3};
+use anton2_md::System;
 use proptest::prelude::*;
 
-const CUTOFF: f64 = 9.0;
-const SKIN: f64 = 1.0;
+const BOX: f64 = 38.0;
 
 /// Small deterministic generator for displacement noise; proptest supplies
 /// only the seed, keeping case generation cheap.
@@ -31,43 +40,90 @@ impl Lcg {
     }
 }
 
-fn positions(seed: u64, n: usize, l: f64) -> Vec<Vec3> {
+/// `n` charged LJ atoms at random positions, bonded in triples so the
+/// stream has 1–2 and 1–3 exclusions to bake out.
+fn system(seed: u64, n: usize) -> System {
     let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
-    (0..n)
-        .map(|_| v3(rng.next_f64() * l, rng.next_f64() * l, rng.next_f64() * l))
-        .collect()
+    let positions = (0..n)
+        .map(|_| {
+            v3(
+                rng.next_f64() * BOX,
+                rng.next_f64() * BOX,
+                rng.next_f64() * BOX,
+            )
+        })
+        .collect();
+    let mut topology = Topology {
+        masses: vec![12.0; n],
+        charges: (0..n)
+            .map(|i| if i % 2 == 0 { 0.4 } else { -0.4 })
+            .collect(),
+        lj_types: vec![0; n],
+        ..Default::default()
+    };
+    for i in (0..n - 2).step_by(3) {
+        for j in [i, i + 1] {
+            topology.bonds.push(Bond {
+                i: j,
+                j: j + 1,
+                k: 100.0,
+                r0: 1.5,
+            });
+        }
+    }
+    topology.build_exclusions();
+    let ff = ForceField::new(vec![LjType {
+        epsilon: 0.2,
+        sigma: 3.0,
+    }]);
+    System::new(
+        topology,
+        ff,
+        NonbondedSettings::default(),
+        PbcBox::cubic(BOX),
+        positions,
+    )
+}
+
+fn close(got: f64, want: f64) -> bool {
+    (got - want).abs() <= 1e-12 * want.abs().max(1.0)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// 44 Å box at range 10 → 4 cells of width 11 per axis: the extended
-    /// list carries a 1 Å margin, i.e. a ~0.5 Å patch budget. Mode 0
-    /// jitters within the budget (the forced first round must therefore
-    /// patch), mode 1 kicks every fifth atom ≥ 4 Å across cell boundaries
-    /// (must rebuild fresh), mode 2 rescales the box (must rebuild fresh).
+    /// 38 Å box at range 10 → 3 cells of width 12.67 per axis: the extended
+    /// list carries a 2.67 Å margin, i.e. a 1.33 Å patch budget. Mode 0
+    /// jitters every atom by up to 1.04 Å — past skin/2 for some atom,
+    /// inside the budget for all, so the forced first round must patch —
+    /// mode 1 kicks every fifth atom ≥ 4 Å across cell boundaries (must
+    /// rebuild fresh), mode 2 rescales the box (must rebuild fresh).
     #[test]
-    fn rebuild_is_bitwise_identical_to_fresh_build(
+    fn refreshed_stream_matches_reference_list_and_kernel(
         seed in 0u64..10_000,
         n in 48usize..128,
         modes in proptest::collection::vec(0u8..3, 2..7),
+        parallel in proptest::bool::ANY,
     ) {
-        let mut pbc = PbcBox::cubic(44.0);
-        let mut pos = positions(seed, n, 44.0);
+        let mut s = system(seed, n);
+        let table = s.pair_table();
         let mut rng = Lcg(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
-        let mut nl = NeighborList::build(&pbc, &pos, CUTOFF, SKIN);
+        let mut ws = NonbondedWorkspace::new();
+        let mut f = vec![Vec3::ZERO; n];
+        nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, parallel);
+        prop_assert_eq!(ws.stream().last_build(), StreamBuild::Fresh { cell_churn: 0 });
         let mut patched = 0u32;
         let mut fresh = 0u32;
         let forced_fresh = modes.iter().any(|&m| m != 0);
         for &mode in std::iter::once(&0u8).chain(&modes) {
             match mode {
                 0 => {
-                    for p in &mut pos {
-                        *p += v3(rng.unit(), rng.unit(), rng.unit()) * 0.08;
+                    for p in &mut s.positions {
+                        *p += v3(rng.unit(), rng.unit(), rng.unit()) * 0.6;
                     }
                 }
                 1 => {
-                    for p in pos.iter_mut().step_by(5) {
+                    for p in s.positions.iter_mut().step_by(5) {
                         *p += v3(
                             4.0 + 2.0 * rng.next_f64(),
                             2.0 * rng.unit(),
@@ -77,20 +133,42 @@ proptest! {
                 }
                 _ => {
                     let mu = 1.0 + 0.002 + 0.004 * rng.next_f64();
-                    pbc = PbcBox::new(pbc.lx * mu, pbc.ly * mu, pbc.lz * mu);
-                    for p in &mut pos {
+                    s.pbc = PbcBox::new(s.pbc.lx * mu, s.pbc.ly * mu, s.pbc.lz * mu);
+                    for p in &mut s.positions {
                         *p = *p * mu;
                     }
                 }
             }
-            nl.rebuild(&pbc, &pos, None);
-            match nl.last_build() {
-                ListBuild::Patched => patched += 1,
-                ListBuild::Fresh => fresh += 1,
+            let mut tel = Telemetry::new(TelemetryLevel::Counters);
+            f.iter_mut().for_each(|v| *v = Vec3::ZERO);
+            let e =
+                nonbonded_forces_streamed_profiled(&s, &table, &mut ws, &mut f, parallel, &mut tel);
+            let c = tel.profile().counters;
+            if c.neighbor_rebuilds == 1 {
+                match ws.stream().last_build() {
+                    StreamBuild::Patched => patched += 1,
+                    StreamBuild::Fresh { .. } => fresh += 1,
+                }
             }
-            let want = NeighborList::build(&pbc, &pos, CUTOFF, SKIN);
-            prop_assert_eq!(&nl.start, &want.start, "row starts diverged");
-            prop_assert_eq!(&nl.partners, &want.partners, "partners diverged");
+
+            let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
+            let mut f_ref = vec![Vec3::ZERO; n];
+            let e_ref = nonbonded_forces(&s, &nl, &mut f_ref);
+            prop_assert_eq!(
+                c.pairs_evaluated,
+                count_interactions(&s, &nl, &s.topology.exclusions),
+                "in-cutoff pair count diverged"
+            );
+            prop_assert!(close(e.lj, e_ref.lj), "lj {} vs {}", e.lj, e_ref.lj);
+            prop_assert!(close(e.coulomb_real, e_ref.coulomb_real), "coulomb");
+            prop_assert!(close(e.virial, e_ref.virial), "virial");
+            prop_assert!(close(e.virial_lj, e_ref.virial_lj), "lj virial");
+            for (got, want) in f.iter().zip(&f_ref) {
+                prop_assert!(
+                    (*got - *want).norm() <= 1e-12 * (1.0 + want.norm()),
+                    "{:?} vs {:?}", got, want
+                );
+            }
         }
         prop_assert!(patched >= 1, "schedule never exercised the patch path");
         if forced_fresh {

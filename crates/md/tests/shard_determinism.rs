@@ -146,6 +146,11 @@ fn two_cubed_decomposition_matches_single_image_bitwise() {
         );
         // The decomposition is real, not vacuous.
         assert!(s1.shards.is_empty());
+        assert_eq!(
+            s1.counters.atoms_imported, 0,
+            "a single image imports nothing"
+        );
+        assert_eq!(s1.counters.exchange_bytes, 0);
         assert_eq!(s8.shards.len(), 8);
         // The run summary's counters diff over the run window, matching
         // the per-shard summaries (the cumulative profile also includes
@@ -158,6 +163,11 @@ fn two_cubed_decomposition_matches_single_image_bitwise() {
         assert_eq!(owned as usize, sharded.system.n_atoms());
         let imported: u64 = s8.shards.iter().map(|s| s.counters.atoms_imported).sum();
         assert_eq!(imported, c.atoms_imported);
+        let pairs: u64 = s8.shards.iter().map(|s| s.counters.pairs_evaluated).sum();
+        assert_eq!(
+            pairs, c.pairs_evaluated,
+            "per-shard pairs sum to the global"
+        );
     }
 }
 
