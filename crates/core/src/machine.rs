@@ -78,6 +78,12 @@ pub struct Machine {
     pub net: Network,
     /// Reaction to unrecoverable network faults (default [`FaultPolicy::Strict`]).
     pub fault_policy: FaultPolicy,
+    /// The unicast batch of the phase being simulated, `(inject time, src,
+    /// dst, bytes)` per message, and — after [`Machine::deliver_batch`] —
+    /// its tail-arrival times in the same order. One pair of buffers serves
+    /// every phase of every step.
+    batch: Vec<(SimTime, NodeId, NodeId, u32)>,
+    arrivals: Vec<SimTime>,
 }
 
 impl Machine {
@@ -89,6 +95,8 @@ impl Machine {
             nodes,
             net,
             fault_policy: FaultPolicy::Strict,
+            batch: Vec::new(),
+            arrivals: Vec::new(),
         }
     }
 
@@ -98,28 +106,35 @@ impl Machine {
         self
     }
 
-    /// Run a unicast batch under the machine's fault policy. In `Strict`
-    /// mode unrecoverable faults panic; in `Degrade` mode the message is
-    /// abandoned (counted as a drop) and its consumer proceeds at the
-    /// injection-time fallback, so the step — and the run — completes.
-    fn deliver_batch(&mut self, msgs: &[(SimTime, NodeId, NodeId, u32)]) -> Vec<SimTime> {
-        match self.fault_policy {
-            FaultPolicy::Strict => self.net.run_batch(msgs),
-            FaultPolicy::Degrade => {
-                let inj = SimTime::from_ns_f64(self.cfg.link.injection_ns);
-                let results = self.net.try_run_batch(msgs);
-                msgs.iter()
-                    .zip(results)
-                    .map(|(&(at, _, _, _), r)| match r {
-                        Ok(t) => t,
-                        Err(_) => {
-                            self.net.faults.msg_drops += 1;
-                            at + inj
-                        }
-                    })
-                    .collect()
-            }
+    /// Run `self.batch` under the machine's fault policy, leaving the
+    /// arrival times in `self.arrivals`. In `Strict` mode unrecoverable
+    /// faults panic; in `Degrade` mode the message is abandoned (counted as
+    /// a drop) and its consumer proceeds at the injection-time fallback, so
+    /// the step — and the run — completes.
+    fn deliver_batch(&mut self) {
+        let inj = SimTime::from_ns_f64(self.cfg.link.injection_ns);
+        let results = self.net.try_run_batch(&self.batch);
+        self.arrivals.clear();
+        for (&(at, _, _, _), r) in self.batch.iter().zip(results) {
+            self.arrivals.push(match (r, self.fault_policy) {
+                (Ok(t), _) => t,
+                (Err(_), FaultPolicy::Degrade) => {
+                    self.net.faults.msg_drops += 1;
+                    at + inj
+                }
+                (Err(e), FaultPolicy::Strict) => {
+                    panic!("unrecoverable network fault under FaultPolicy::Strict: {e}")
+                }
+            });
         }
+    }
+
+    /// The delivered batch: each message's destination and arrival time.
+    fn delivered(&self) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
+        self.batch
+            .iter()
+            .zip(&self.arrivals)
+            .map(|(&(_, _, dst, _), &at)| (dst, at))
     }
 
     /// [`Network::multicast`] under the machine's fault policy. A tree
@@ -215,14 +230,15 @@ impl Machine {
                 }
             }
         } else {
-            let mut batch = Vec::new();
+            self.batch.clear();
             for i in 0..n {
                 for &dst in &plan.comm.import_dsts[i] {
-                    batch.push((ready[i], i as NodeId, dst, plan.comm.import_bytes[i]));
+                    self.batch
+                        .push((ready[i], i as NodeId, dst, plan.comm.import_bytes[i]));
                 }
             }
-            let arrivals = self.deliver_batch(&batch);
-            for (&(_, _, dst, _), at) in batch.iter().zip(arrivals) {
+            self.deliver_batch();
+            for (dst, at) in self.delivered() {
                 import_arrivals[dst as usize].push(at);
             }
         }
@@ -238,7 +254,7 @@ impl Machine {
         let mut htis_done = vec![SimTime::ZERO; n];
         for i in 0..n {
             let w = &plan.work[i];
-            let mut arrivals = import_arrivals[i].clone();
+            let arrivals = &mut import_arrivals[i];
             arrivals.sort_unstable();
             let total_atoms = w.owned_atoms + w.imported_atoms;
             let own_pairs = (w.pair_interactions * w.owned_atoms)
@@ -300,14 +316,14 @@ impl Machine {
 
         // --- Force returns (sent when HTIS finishes) ---
         let mut force_arrivals: Vec<SimTime> = vec![t_begin; n];
-        let mut batch = Vec::new();
+        self.batch.clear();
         for i in 0..n {
             for &(dst, bytes) in &plan.comm.force_returns[i] {
-                batch.push((htis_done[i], i as NodeId, dst, bytes));
+                self.batch.push((htis_done[i], i as NodeId, dst, bytes));
             }
         }
-        let arrivals = self.deliver_batch(&batch);
-        for (&(_, _, dst, _), at) in batch.iter().zip(arrivals) {
+        self.deliver_batch();
+        for (dst, at) in self.delivered() {
             if at > force_arrivals[dst as usize] {
                 force_arrivals[dst as usize] = at;
             }
@@ -346,14 +362,14 @@ impl Machine {
 
         // Atom handoff to face neighbors after integration; the receiving
         // node cannot start its next step until migrants arrive.
-        let mut migration_batch = Vec::new();
+        self.batch.clear();
         for i in 0..n {
             for &(dst, bytes) in &plan.comm.migrations[i] {
-                migration_batch.push((next_ready[i], i as NodeId, dst, bytes));
+                self.batch.push((next_ready[i], i as NodeId, dst, bytes));
             }
         }
-        let arrivals = self.deliver_batch(&migration_batch);
-        for (&(_, _, dst, _), at) in migration_batch.iter().zip(arrivals) {
+        self.deliver_batch();
+        for (dst, at) in self.delivered() {
             if at > next_ready[dst as usize] {
                 next_ready[dst as usize] = at;
             }
@@ -429,18 +445,18 @@ impl Machine {
         sync(&mut spread_done, bsp);
 
         let mut rank_ready = vec![SimTime::ZERO; ranks];
-        let mut batch = Vec::new();
+        self.batch.clear();
         for i in 0..n {
             for &(dst, bytes) in &plan.comm.spread_msgs[i] {
-                batch.push((spread_done[i], i as NodeId, dst, bytes));
+                self.batch.push((spread_done[i], i as NodeId, dst, bytes));
             }
             // A rank host's own contribution is ready locally.
             if let Some(r) = plan.pencil.rank_of(i as u32) {
                 rank_ready[r as usize] = rank_ready[r as usize].max(spread_done[i]);
             }
         }
-        let arrivals = self.deliver_batch(&batch);
-        for (&(_, _, dst, _), at) in batch.iter().zip(arrivals) {
+        self.deliver_batch();
+        for (dst, at) in self.delivered() {
             let r = plan
                 .pencil
                 .rank_of(dst)
@@ -468,21 +484,17 @@ impl Machine {
             }
         };
         let transpose = |mach: &mut Machine, phase: usize, stage_done: &mut Vec<SimTime>| {
-            let msgs = &plan.comm.fft_transposes[phase];
-            let mut next = stage_done.clone();
-            let batch: Vec<(SimTime, NodeId, NodeId, u32)> = msgs
-                .iter()
-                .map(|&(src, dst, bytes)| {
-                    let sr = plan.pencil.rank_of(src).unwrap() as usize;
-                    (stage_done[sr], src, dst, bytes)
-                })
-                .collect();
-            let arrivals = mach.deliver_batch(&batch);
-            for (&(_, _, dst, _), at) in batch.iter().zip(arrivals) {
-                let dr = plan.pencil.rank_of(dst).unwrap() as usize;
-                next[dr] = next[dr].max(at);
+            // Every send time is read before any arrival is folded in.
+            mach.batch.clear();
+            for &(src, dst, bytes) in &plan.comm.fft_transposes[phase] {
+                let sr = plan.pencil.rank_of(src).unwrap() as usize;
+                mach.batch.push((stage_done[sr], src, dst, bytes));
             }
-            *stage_done = next;
+            mach.deliver_batch();
+            for (dst, at) in mach.delivered() {
+                let dr = plan.pencil.rank_of(dst).unwrap() as usize;
+                stage_done[dr] = stage_done[dr].max(at);
+            }
         };
 
         // Forward: z-stage, transpose, y-stage, transpose, x-stage.
@@ -522,17 +534,17 @@ impl Machine {
 
         // Grid returns to contributing nodes.
         let mut grid_back = vec![SimTime::ZERO; n];
-        let mut batch = Vec::new();
+        self.batch.clear();
         for (r, msgs) in plan.comm.grid_returns.iter().enumerate() {
             let host = plan.pencil.node_of(r as u32);
             for &(dst, bytes) in msgs {
-                batch.push((stage_done[r], host, dst, bytes));
+                self.batch.push((stage_done[r], host, dst, bytes));
             }
             // Host keeps its own part.
             grid_back[host as usize] = grid_back[host as usize].max(stage_done[r]);
         }
-        let arrivals = self.deliver_batch(&batch);
-        for (&(_, _, dst, _), at) in batch.iter().zip(arrivals) {
+        self.deliver_batch();
+        for (dst, at) in self.delivered() {
             grid_back[dst as usize] = grid_back[dst as usize].max(at);
         }
         sync(&mut grid_back, bsp);
@@ -587,11 +599,13 @@ impl Machine {
                     last_arrival = last_arrival.max(d.at);
                 }
             } else {
-                let batch: Vec<(SimTime, NodeId, NodeId, u32)> = dsts
-                    .iter()
-                    .map(|&dst| (t0, i as NodeId, dst, plan.comm.import_bytes[i]))
-                    .collect();
-                for at in self.deliver_batch(&batch) {
+                self.batch.clear();
+                self.batch.extend(
+                    dsts.iter()
+                        .map(|&dst| (t0, i as NodeId, dst, plan.comm.import_bytes[i])),
+                );
+                self.deliver_batch();
+                for &at in &self.arrivals {
                     last_arrival = last_arrival.max(at);
                 }
             }
@@ -640,13 +654,14 @@ impl Machine {
 
         // Phase 4: force returns; barrier.
         let mut last_force = t3;
-        let mut batch = Vec::new();
+        self.batch.clear();
         for i in 0..n {
             for &(dst, bytes) in &plan.comm.force_returns[i] {
-                batch.push((t3, i as NodeId, dst, bytes));
+                self.batch.push((t3, i as NodeId, dst, bytes));
             }
         }
-        for at in self.deliver_batch(&batch) {
+        self.deliver_batch();
+        for &at in &self.arrivals {
             last_force = last_force.max(at);
         }
         let t4 = global_sync(last_force);
@@ -669,13 +684,14 @@ impl Machine {
             integrate_max = integrate_max.max(d1 + d2);
             phase_end = phase_end.max(t4 + disp + d1 + d2);
         }
-        let mut migration_batch = Vec::new();
+        self.batch.clear();
         for i in 0..n {
             for &(dst, bytes) in &plan.comm.migrations[i] {
-                migration_batch.push((phase_end, i as NodeId, dst, bytes));
+                self.batch.push((phase_end, i as NodeId, dst, bytes));
             }
         }
-        for at in self.deliver_batch(&migration_batch) {
+        self.deliver_batch();
+        for &at in &self.arrivals {
             phase_end = phase_end.max(at);
         }
         let t5 = global_sync(phase_end);
@@ -889,6 +905,43 @@ mod tests {
             avg.as_ps()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Simulated times are a contract: the event queue, the batch loop and
+    /// the route storage may change, the picoseconds may not. Values captured
+    /// at commit e5b3197 (heap-driven queue, per-message route vectors).
+    #[test]
+    fn step_times_are_pinned_to_the_picosecond() {
+        use anton2_net::FaultPlan;
+        let s = water_box(8, 8, 8, 1);
+        let ed = MachineConfig::anton2(64);
+        let bsp = MachineConfig::anton2(64).with_exec(ExecPolicy::BulkSynchronous);
+        let lossy = || {
+            FaultPlan::new(1)
+                .with_crc_rate(0.05)
+                .with_stall_rate(0.02, SimTime::from_ns(60))
+        };
+        // (config, fault plan, outer step, RESPA-2 average, RESPA-2 cycle,
+        //  retransmissions, stalls)
+        let golden = [
+            (ed, None, 2_298_645, 1_623_788, 3_247_577, 0, 0),
+            (bsp, None, 8_707_291, 5_997_305, 8_707_291, 0, 0),
+            (ed, Some(lossy()), 4_073_195, 2_993_578, 5_987_157, 898, 337),
+        ];
+        for (cfg, fault, step_ps, avg_ps, cycle_ps, retransmits, stalls) in golden {
+            let plan = StepPlan::build(&s, &cfg);
+            let mut m = Machine::new(cfg);
+            m.net.fault = fault.clone();
+            let outer = m.simulate_step(&plan, true, &[SimTime::ZERO; 64]);
+            assert_eq!(outer.step_time.as_ps(), step_ps, "{:?} step", cfg.exec);
+            let mut m = Machine::new(cfg);
+            m.net.fault = fault;
+            let (avg, cycle) = m.simulate_respa_cycle(&plan, 2);
+            assert_eq!(avg.as_ps(), avg_ps, "{:?} RESPA average", cfg.exec);
+            assert_eq!(cycle.step_time.as_ps(), cycle_ps, "{:?} cycle", cfg.exec);
+            assert_eq!(m.net.faults.link_retransmits, retransmits);
+            assert_eq!(m.net.faults.link_stalls, stalls);
+        }
     }
 
     #[test]

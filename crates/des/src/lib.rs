@@ -22,7 +22,7 @@ pub mod queue;
 pub mod stats;
 pub mod time;
 
-pub use queue::{run_until_quiescent, EventQueue};
+pub use queue::{run_until_quiescent, EventQueue, TimeSlot};
 pub use stats::{BusyTracker, FaultCounters, LatencyHistogram, Summary};
 pub use time::{cycles_to_time, SimTime};
 

@@ -12,7 +12,7 @@
 use crate::fault::{FaultPlan, NetError, RetryConfig};
 use crate::health::HealthMap;
 use crate::torus::{Dir, NodeId, Torus};
-use anton2_des::{FaultCounters, LatencyHistogram, SimTime, Summary};
+use anton2_des::{EventQueue, FaultCounters, LatencyHistogram, SimTime, Summary, TimeSlot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -122,6 +122,27 @@ pub struct Network {
     /// Planner-installed per-flow dimension orders (health-driven route
     /// bias); empty means the routing policy decides alone.
     pub route_bias: BTreeMap<(NodeId, NodeId), [u8; 3]>,
+    /// Reused buffers of the per-message paths, so that routing a message
+    /// and growing a multicast tree allocate nothing.
+    scratch: Scratch,
+}
+
+/// [`Network`]'s reused buffers; the contents mean nothing between calls.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// The route (directed-link indices) of the message being sent.
+    route: Vec<u32>,
+    /// Multicast: destinations in delivery order.
+    dsts: Vec<NodeId>,
+    /// Multicast: when the packet head is available at each node, valid
+    /// where `head_stamp` equals `stamp`.
+    head_at: Vec<SimTime>,
+    head_stamp: Vec<u32>,
+    /// Multicast: links already carrying the packet are those stamped
+    /// `stamp`.
+    link_stamp: Vec<u32>,
+    /// Bumped per multicast, which empties both stamped sets at once.
+    stamp: u32,
 }
 
 impl Network {
@@ -142,6 +163,12 @@ impl Network {
             delivered_bytes: 0,
             health: HealthMap::new(torus.n_links()),
             route_bias: BTreeMap::new(),
+            scratch: Scratch {
+                head_at: vec![SimTime::ZERO; torus.n_nodes() as usize],
+                head_stamp: vec![0; torus.n_nodes() as usize],
+                link_stamp: vec![0; torus.n_links()],
+                ..Scratch::default()
+            },
         }
     }
 
@@ -176,16 +203,15 @@ impl Network {
         self
     }
 
-    /// The minimal route this network's policy picks for (src, dst). A
-    /// planner-installed bias for the flow overrides the policy.
-    fn policy_route(&self, src: NodeId, dst: NodeId) -> Vec<(NodeId, crate::torus::Dir)> {
+    /// The dimension order of the minimal route this network picks for
+    /// (src, dst). A planner-installed bias for the flow overrides the policy.
+    fn flow_order(&self, src: NodeId, dst: NodeId) -> [u8; 3] {
         if !self.route_bias.is_empty() {
             if let Some(&order) = self.route_bias.get(&(src, dst)) {
-                return self.torus.route_with_order(src, dst, order);
+                return order;
             }
         }
-        self.torus
-            .route_with_order(src, dst, self.policy.order_for(src, dst))
+        self.policy.order_for(src, dst)
     }
 
     /// Reset reservations and statistics (e.g. between benchmark repeats).
@@ -207,18 +233,19 @@ impl Network {
         self.fault.as_ref().is_some_and(FaultPlan::is_active)
     }
 
-    /// Does `path` avoid every dead link and dead transit node, per both
-    /// the fault plan's structural faults and the health map's observed
-    /// ones? With neither in play this is a single O(1) check.
-    fn path_clear(&self, path: &[(NodeId, Dir)]) -> bool {
+    /// Does `path` (directed-link indices) avoid every dead link and dead
+    /// transit node, per both the fault plan's structural faults and the
+    /// health map's observed ones? With neither in play this is a single
+    /// O(1) check.
+    fn path_clear(&self, path: &[u32]) -> bool {
         let plan = self.fault.as_ref();
         let observed = self.health.has_dead();
         if plan.is_none() && !observed {
             return true;
         }
-        path.iter().all(|&(node, dir)| {
-            let link = self.torus.link_index(node, dir);
-            let next = self.torus.neighbor(node, dir);
+        path.iter().all(|&link| {
+            let link = link as usize;
+            let next = self.torus.link_dst(link);
             plan.is_none_or(|p| !p.link_dead(link) && !p.node_dead(next))
                 && (!observed || (!self.health.link_dead(link) && !self.health.node_dead(next)))
         })
@@ -227,10 +254,10 @@ impl Network {
     /// Record the fault plan's structural faults along `path` into the
     /// health map, so planning learns of dead fabric the moment routing
     /// first collides with it.
-    fn mark_blocked(&mut self, path: &[(NodeId, Dir)]) {
-        for &(node, dir) in path {
-            let link = self.torus.link_index(node, dir);
-            let next = self.torus.neighbor(node, dir);
+    fn mark_blocked(&mut self, path: &[u32]) {
+        for &link in path {
+            let link = link as usize;
+            let next = self.torus.link_dst(link);
             let (dead_link, dead_node) = match self.fault.as_ref() {
                 Some(p) => (p.link_dead(link), p.node_dead(next)),
                 None => (false, false),
@@ -244,26 +271,31 @@ impl Network {
         }
     }
 
-    /// Keep `base` if it avoids the dead fabric; otherwise re-route by
-    /// scanning the six minimal dimension orders, then — if every minimal
-    /// path is blocked — by a single non-minimal detour through a live
-    /// neighbor of the source. Each recovery counts one reroute; a fully
-    /// cut-off pair errors out.
+    /// Append to `out` the minimal route of dimension order `order` if it
+    /// avoids the dead fabric; otherwise re-route by scanning the six
+    /// minimal dimension orders, then — if every minimal path is blocked —
+    /// by a single non-minimal detour through a live neighbor of the
+    /// source. Each recovery counts one reroute; a fully cut-off pair errors
+    /// out and leaves `out` as it was.
     fn healthy_route(
         &mut self,
-        base: Vec<(NodeId, Dir)>,
+        order: [u8; 3],
         src: NodeId,
         dst: NodeId,
-    ) -> Result<Vec<(NodeId, Dir)>, NetError> {
-        if self.path_clear(&base) {
-            return Ok(base);
+        out: &mut Vec<u32>,
+    ) -> Result<(), NetError> {
+        let start = out.len();
+        self.torus.route_links_into(src, dst, order, out);
+        if self.path_clear(&out[start..]) {
+            return Ok(());
         }
-        self.mark_blocked(&base);
+        self.mark_blocked(&out[start..]);
         for order in DIM_ORDERS {
-            let alt = self.torus.route_with_order(src, dst, order);
-            if self.path_clear(&alt) {
+            out.truncate(start);
+            self.torus.route_links_into(src, dst, order, out);
+            if self.path_clear(&out[start..]) {
                 self.faults.reroutes += 1;
-                return Ok(alt);
+                return Ok(());
             }
         }
         // Non-minimal escape: one hop to a live neighbor, then minimal.
@@ -274,30 +306,27 @@ impl Network {
             if w == src {
                 continue; // ring of length 1: the link loops back
             }
-            let first = [(src, dir)];
-            if !self.path_clear(&first) {
+            let first = self.torus.link_index(src, dir) as u32;
+            if !self.path_clear(&[first]) {
                 continue;
             }
-            if w == dst {
-                self.faults.reroutes += 1;
-                return Ok(first.to_vec());
-            }
             for order in DIM_ORDERS {
-                let mut alt = Vec::with_capacity(1 + self.torus.hops(w, dst) as usize);
-                alt.push((src, dir));
-                alt.extend(self.torus.route_with_order(w, dst, order));
-                if self.path_clear(&alt) {
+                out.truncate(start);
+                out.push(first);
+                self.torus.route_links_into(w, dst, order, out);
+                if self.path_clear(&out[start..]) {
                     self.faults.reroutes += 1;
-                    return Ok(alt);
+                    return Ok(());
                 }
             }
         }
+        out.truncate(start);
         Err(NetError::Unroutable { src, dst })
     }
 
     /// Endpoint liveness check plus policy routing with dead-fabric
-    /// avoidance.
-    fn route_for(&mut self, src: NodeId, dst: NodeId) -> Result<Vec<(NodeId, Dir)>, NetError> {
+    /// avoidance; the route's directed-link indices are appended to `out`.
+    fn route_for(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<u32>) -> Result<(), NetError> {
         let plan_dead = self
             .fault
             .as_ref()
@@ -315,8 +344,7 @@ impl Network {
                 }
             }
         }
-        let base = self.policy_route(src, dst);
-        self.healthy_route(base, src, dst)
+        self.healthy_route(self.flow_order(src, dst), src, dst, out)
     }
 
     /// Move one packet head across `link` under the fault/retry protocol:
@@ -433,17 +461,21 @@ impl Network {
             self.delivered_bytes += bytes as u64;
             return Ok(head);
         }
-        let route = self.route_for(src, dst)?;
-        let ser = self.cfg.serialize_time(bytes);
-        let hop = self.cfg.hop_time();
-        for (node, dir) in route {
-            let link = self.torus.link_index(node, dir);
-            // Cut-through: the head moves on after the hop latency; the tail
-            // arrives a serialization time later. Downstream links can only
-            // be claimed once the head is there.
-            head = self.cross_link(link, head, ser, hop, msg, src, dst)?;
-        }
-        let tail_arrival = head + ser;
+        let mut route = std::mem::take(&mut self.scratch.route);
+        route.clear();
+        let arrival = self.route_for(src, dst, &mut route).and_then(|()| {
+            let ser = self.cfg.serialize_time(bytes);
+            let hop = self.cfg.hop_time();
+            for &link in &route {
+                // Cut-through: the head moves on after the hop latency; the
+                // tail arrives a serialization time later. Downstream links
+                // can only be claimed once the head is there.
+                head = self.cross_link(link as usize, head, ser, hop, msg, src, dst)?;
+            }
+            Ok(head + ser)
+        });
+        self.scratch.route = route;
+        let tail_arrival = arrival?;
         self.record_latency(now, tail_arrival);
         self.delivered_bytes += bytes as u64;
         Ok(tail_arrival)
@@ -495,6 +527,23 @@ impl Network {
                 }
             }
         }
+        let mut sc = std::mem::take(&mut self.scratch);
+        let out = self.grow_tree(&mut sc, now, src, dsts, bytes, msg);
+        self.scratch = sc;
+        out
+    }
+
+    /// The body of [`Network::try_multicast`] past the endpoint checks, on
+    /// the scratch buffers taken out of `self`.
+    fn grow_tree(
+        &mut self,
+        sc: &mut Scratch,
+        now: SimTime,
+        src: NodeId,
+        dsts: &[NodeId],
+        bytes: u32,
+        msg: u64,
+    ) -> Result<Vec<Delivery>, NetError> {
         let degraded = self.health.has_dead()
             || self
                 .fault
@@ -503,16 +552,23 @@ impl Network {
         let inject = now + SimTime::from_ns_f64(self.cfg.injection_ns);
         let ser = self.cfg.serialize_time(bytes);
         let hop = self.cfg.hop_time();
-        // head_at[node] = when the packet head is available at that node.
-        let mut head_at: std::collections::BTreeMap<NodeId, SimTime> =
-            std::collections::BTreeMap::new();
-        head_at.insert(src, inject);
-        let mut used: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        if sc.stamp == u32::MAX {
+            sc.head_stamp.fill(0);
+            sc.link_stamp.fill(0);
+            sc.stamp = 0;
+        }
+        sc.stamp += 1;
+        let stamp = sc.stamp;
+        // head_at[node] = when the packet head is available at that node;
+        // the injection time wherever the tree has not reached yet.
+        sc.head_at[src as usize] = inject;
+        sc.head_stamp[src as usize] = stamp;
         let mut out = Vec::with_capacity(dsts.len());
         // Deterministic order: sort destinations.
-        let mut order: Vec<NodeId> = dsts.to_vec();
-        order.sort_unstable();
-        for dst in order {
+        sc.dsts.clear();
+        sc.dsts.extend_from_slice(dsts);
+        sc.dsts.sort_unstable();
+        for &dst in &sc.dsts {
             if dst == src {
                 out.push(Delivery {
                     node: dst,
@@ -521,25 +577,33 @@ impl Network {
                 self.delivered_bytes += bytes as u64;
                 continue;
             }
-            let route = if degraded {
-                self.healthy_route(self.torus.route(src, dst), src, dst)?
+            sc.route.clear();
+            if degraded {
+                self.healthy_route(DIM_ORDERS[0], src, dst, &mut sc.route)?;
             } else {
-                self.torus.route(src, dst)
-            };
+                self.torus
+                    .route_links_into(src, dst, DIM_ORDERS[0], &mut sc.route);
+            }
             let mut head = inject;
-            for (node, dir) in route {
-                let next = self.torus.neighbor(node, dir);
-                let link = self.torus.link_index(node, dir);
-                if used.contains(&link) {
+            for &link in &sc.route {
+                let link = link as usize;
+                let next = self.torus.link_dst(link) as usize;
+                if sc.link_stamp[link] == stamp {
                     // Tree edge already carries the packet; head timing at
                     // `next` was recorded when the edge was claimed.
-                    head = head_at[&next];
+                    head = sc.head_at[next];
                     continue;
                 }
-                let ready = head_at.get(&node).copied().unwrap_or(inject);
+                let node = self.torus.link_src(link) as usize;
+                let ready = if sc.head_stamp[node] == stamp {
+                    sc.head_at[node]
+                } else {
+                    inject
+                };
                 head = self.cross_link(link, ready, ser, hop, msg, src, dst)?;
-                head_at.insert(next, head);
-                used.insert(link);
+                sc.head_at[next] = head;
+                sc.head_stamp[next] = stamp;
+                sc.link_stamp[link] = stamp;
             }
             let at = head + ser;
             self.record_latency(now, at);
@@ -575,10 +639,14 @@ impl Network {
         &mut self,
         msgs: &[(SimTime, NodeId, NodeId, u32)],
     ) -> Vec<Result<SimTime, NetError>> {
+        /// One packet head waiting to claim a link.
         #[derive(Clone, Copy)]
         struct Hop {
             msg: u32,
-            hop: u32,
+            /// Position of the link to claim in the route arena.
+            pos: u32,
+            /// That link, so a blocked head re-parks without a route lookup.
+            link: u32,
             /// Retransmission count on the current link.
             attempt: u32,
             /// The stall draw for this attempt already applied.
@@ -586,59 +654,67 @@ impl Network {
         }
         let inj = SimTime::from_ns_f64(self.cfg.injection_ns);
         let hop_t = self.cfg.hop_time();
-        let mut paths: Vec<Vec<usize>> = Vec::with_capacity(msgs.len());
+        // All routes as directed-link indices, back to back: message `k`
+        // owns `routes[ends[k - 1]..ends[k]]`.
+        let mut routes: Vec<u32> = Vec::new();
+        let mut ends: Vec<u32> = Vec::with_capacity(msgs.len());
         let mut sers: Vec<SimTime> = Vec::with_capacity(msgs.len());
-        let mut ids: Vec<u64> = Vec::with_capacity(msgs.len());
+        let first_id = self.messages + 1;
         let mut done: Vec<Result<SimTime, NetError>> = vec![Ok(SimTime::ZERO); msgs.len()];
-        let mut queue: anton2_des::EventQueue<Hop> = anton2_des::EventQueue::new();
+        let mut queue: EventQueue<Hop> = EventQueue::new();
         for (k, &(at, src, dst, bytes)) in msgs.iter().enumerate() {
             self.messages += 1;
             self.payload_bytes += bytes as u64;
-            ids.push(self.messages);
             sers.push(self.cfg.serialize_time(bytes));
-            match self.route_for(src, dst) {
-                Err(e) => {
-                    done[k] = Err(e);
-                    paths.push(Vec::new());
+            let start = routes.len();
+            match self.route_for(src, dst, &mut routes) {
+                Err(e) => done[k] = Err(e),
+                Ok(()) if routes.len() == start => {
+                    done[k] = Ok(at + inj);
+                    self.record_latency(at, at + inj);
+                    self.delivered_bytes += bytes as u64;
                 }
-                Ok(route) => {
-                    let path: Vec<usize> = route
-                        .into_iter()
-                        .map(|(node, dir)| self.torus.link_index(node, dir))
-                        .collect();
-                    if path.is_empty() {
-                        done[k] = Ok(at + inj);
-                        self.record_latency(at, at + inj);
-                        self.delivered_bytes += bytes as u64;
-                    } else {
-                        queue.schedule(
-                            at + inj,
-                            Hop {
-                                msg: k as u32,
-                                hop: 0,
-                                attempt: 0,
-                                stalled: false,
-                            },
-                        );
-                    }
-                    paths.push(path);
+                Ok(()) => {
+                    queue.schedule(
+                        at + inj,
+                        Hop {
+                            msg: k as u32,
+                            pos: start as u32,
+                            link: routes[start],
+                            attempt: 0,
+                            stalled: false,
+                        },
+                    );
                 }
             }
+            ends.push(routes.len() as u32);
         }
+        let in_flight = queue.len();
+        // wake[link]: the queue slot of the instant `link` frees, once a
+        // blocked head has been parked there. `link_free` only moves forward
+        // and a slot lives while its time is in the future, so the memo is
+        // current exactly when its time is still `link_free[link]`.
+        let mut wake: Vec<Option<TimeSlot>> = vec![None; self.link_free.len()];
         let hot = self.fault_active();
         while let Some((t, ev)) = queue.pop() {
             let m = ev.msg as usize;
-            let link = paths[m][ev.hop as usize];
-            if self.link_free[link] > t {
+            let link = ev.link as usize;
+            let free = self.link_free[link];
+            if free > t {
                 // Busy: retry when the link frees (FIFO tie-break keeps
-                // arbitration deterministic and fair).
-                let retry = self.link_free[link];
-                queue.schedule(retry, ev);
+                // arbitration deterministic and fair). A link under
+                // contention re-parks every waiter at every grant, so this
+                // is the loop's most-travelled path.
+                match wake[link] {
+                    Some(slot) if slot.time() == free => queue.schedule_in(slot, ev),
+                    _ => wake[link] = Some(queue.schedule(free, ev)),
+                }
                 continue;
             }
+            let id = first_id + m as u64;
             if hot && !ev.stalled {
                 let (stall, stall_t) = match self.fault.as_ref() {
-                    Some(p) => (p.stalls(link, ids[m], ev.attempt), p.stall),
+                    Some(p) => (p.stalls(link, id, ev.attempt), p.stall),
                     None => (false, SimTime::ZERO),
                 };
                 if stall {
@@ -661,7 +737,7 @@ impl Network {
                 let corrupt = self
                     .fault
                     .as_ref()
-                    .is_some_and(|p| p.corrupts(link, ids[m], ev.attempt));
+                    .is_some_and(|p| p.corrupts(link, id, ev.attempt));
                 if corrupt {
                     self.faults.link_retransmits += 1;
                     if ev.attempt >= self.retry.max_retries {
@@ -679,10 +755,9 @@ impl Network {
                     queue.schedule(
                         t + ser + self.retry.delay(ev.attempt),
                         Hop {
-                            msg: ev.msg,
-                            hop: ev.hop,
                             attempt: ev.attempt + 1,
                             stalled: false,
+                            ..ev
                         },
                     );
                     continue;
@@ -690,7 +765,8 @@ impl Network {
                 self.health.observe_crossing(link, ev.attempt);
             }
             let head_next = t + hop_t;
-            if ev.hop as usize + 1 == paths[m].len() {
+            let next = ev.pos + 1;
+            if next == ends[m] {
                 let (at, _, _, bytes) = msgs[m];
                 done[m] = Ok(head_next + ser);
                 self.record_latency(at, head_next + ser);
@@ -700,13 +776,18 @@ impl Network {
                     head_next,
                     Hop {
                         msg: ev.msg,
-                        hop: ev.hop + 1,
+                        pos: next,
+                        link: routes[next as usize],
                         attempt: 0,
                         stalled: false,
                     },
                 );
             }
         }
+        // Every message has at most one head in the queue, and the queue
+        // reuses popped slots: its storage is bounded by the batch, however
+        // often blocked heads were re-parked.
+        debug_assert!(queue.slab_len() <= in_flight);
         done
     }
 
@@ -774,6 +855,9 @@ pub fn anton2_class_link() -> LinkConfig {
         injection_ns: 25.0,
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1243,6 +1327,13 @@ mod routing_policy_tests {
     use super::*;
     use crate::torus::Coord;
 
+    fn policy_route(net: &Network, src: NodeId, dst: NodeId) -> Vec<u32> {
+        let mut path = Vec::new();
+        net.torus
+            .route_links_into(src, dst, net.flow_order(src, dst), &mut path);
+        path
+    }
+
     #[test]
     fn randomized_minimal_stays_minimal() {
         let t = Torus::new(8, 8, 8);
@@ -1250,7 +1341,7 @@ mod routing_policy_tests {
             Network::new(t, anton2_class_link()).with_policy(RoutingPolicy::RandomizedMinimal);
         for src in (0..512).step_by(37) {
             for dst in (0..512).step_by(41) {
-                let path = net.policy_route(src, dst);
+                let path = policy_route(&net, src, dst);
                 assert_eq!(path.len() as u32, t.hops(src, dst), "{src}->{dst}");
             }
         }
@@ -1292,8 +1383,8 @@ mod routing_policy_tests {
         let t = Torus::new(4, 4, 4);
         let net =
             Network::new(t, anton2_class_link()).with_policy(RoutingPolicy::RandomizedMinimal);
-        let a = net.policy_route(3, 47);
-        let b = net.policy_route(3, 47);
+        let a = policy_route(&net, 3, 47);
+        let b = policy_route(&net, 3, 47);
         assert_eq!(a, b);
     }
 }

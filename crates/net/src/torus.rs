@@ -208,10 +208,31 @@ impl Torus {
     /// count; the *links* differ, which is what routing-policy ablations
     /// probe.
     pub fn route_with_order(&self, src: NodeId, dst: NodeId, order: [u8; 3]) -> Vec<(NodeId, Dir)> {
+        let mut path = Vec::with_capacity(self.hops(src, dst) as usize);
+        self.walk_route(src, dst, order, |node, dir| path.push((node, dir)));
+        path
+    }
+
+    /// [`Torus::route_with_order`] as directed-link indices
+    /// ([`Torus::link_index`]), appended to `out` — the form the network
+    /// model stores, many routes to one buffer.
+    pub fn route_links_into(&self, src: NodeId, dst: NodeId, order: [u8; 3], out: &mut Vec<u32>) {
+        self.walk_route(src, dst, order, |node, dir| {
+            out.push(self.link_index(node, dir) as u32);
+        });
+    }
+
+    /// Calls `visit(node, outgoing direction)` for every hop of the minimal
+    /// route from `src` to `dst` that takes the dimensions in `order`.
+    fn walk_route(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        order: [u8; 3],
+        mut visit: impl FnMut(NodeId, Dir),
+    ) {
         let cs = self.coord(src);
         let cd = self.coord(dst);
-        let mut path = Vec::with_capacity(self.hops(src, dst) as usize);
-        let mut cur = src;
         let deltas = [
             (
                 Self::ring_delta(cs.x, cd.x, self.nx),
@@ -229,20 +250,16 @@ impl Torus {
                 Dir::ZMinus,
             ),
         ];
+        let mut cur = src;
         for &axis in &order {
             let (delta, plus, minus) = deltas[axis as usize];
-            let (dir, count) = if delta >= 0 {
-                (plus, delta as u32)
-            } else {
-                (minus, (-delta) as u32)
-            };
-            for _ in 0..count {
-                path.push((cur, dir));
+            let dir = if delta >= 0 { plus } else { minus };
+            for _ in 0..delta.unsigned_abs() {
+                visit(cur, dir);
                 cur = self.neighbor(cur, dir);
             }
         }
         debug_assert_eq!(cur, dst);
-        path
     }
 
     /// Maximum hop distance in the torus (its diameter).
@@ -254,6 +271,17 @@ impl Torus {
     #[inline]
     pub fn link_index(&self, node: NodeId, dir: Dir) -> usize {
         node as usize * 6 + dir.index()
+    }
+
+    /// The node the directed link `link` (a [`Torus::link_index`]) leaves.
+    #[inline]
+    pub fn link_src(&self, link: usize) -> NodeId {
+        (link / 6) as NodeId
+    }
+
+    /// The node the directed link `link` (a [`Torus::link_index`]) leads to.
+    pub fn link_dst(&self, link: usize) -> NodeId {
+        self.neighbor(self.link_src(link), Dir::ALL[link % 6])
     }
 }
 
@@ -307,6 +335,32 @@ mod tests {
                     cur = t.neighbor(cur, dir);
                 }
                 assert_eq!(cur, dst);
+            }
+        }
+    }
+
+    #[test]
+    fn link_routes_match_node_routes_in_every_order() {
+        let t = Torus::new(4, 6, 2);
+        let mut links = vec![7u32]; // appended to, never cleared
+        for src in 0..t.n_nodes() {
+            for dst in [0u32, 3, 21, 47] {
+                for order in crate::network::DIM_ORDERS {
+                    let route = t.route_with_order(src, dst, order);
+                    links.truncate(1);
+                    t.route_links_into(src, dst, order, &mut links);
+                    assert_eq!(links[0], 7);
+                    assert_eq!(links.len() - 1, route.len());
+                    let mut cur = src;
+                    for (&(node, dir), &link) in route.iter().zip(&links[1..]) {
+                        assert_eq!(node, cur, "{src}->{dst} {order:?}");
+                        assert_eq!(link as usize, t.link_index(node, dir));
+                        assert_eq!(t.link_src(link as usize), node);
+                        cur = t.neighbor(cur, dir);
+                        assert_eq!(t.link_dst(link as usize), cur);
+                    }
+                    assert_eq!(cur, dst);
+                }
             }
         }
     }
