@@ -412,7 +412,7 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("stream.rs", "can_patch"),
     ("stream.rs", "gather_positions"),
     ("stream.rs", "filter_ext"),
-    ("stream.rs", "stream_rows"),
+    ("stream.rs", "evaluate_rows"),
     ("stream.rs", "nonbonded_forces_streamed"),
     ("stream.rs", "nonbonded_forces_streamed_profiled"),
     ("pairkernel.rs", "pair_interaction_split"),
@@ -469,7 +469,6 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("network.rs", "cross_link"),
     ("shard.rs", "sync"),
     ("shard.rs", "record"),
-    ("shard.rs", "record_shard_rows"),
     ("shard.rs", "replay"),
     ("shard.rs", "replay_rows"),
     ("exchange.rs", "exchange"),

@@ -50,9 +50,11 @@
 
 use crate::cells::CellGrid;
 use crate::forcefield::PairTable;
-use crate::pairkernel::{pair_interaction_lanes, NonbondedEnergy, LANES, NB_CHUNKS};
-use crate::pbc::HalfBox;
-use crate::stream::NonbondedStream;
+use crate::pairkernel::{NonbondedEnergy, NB_CHUNKS};
+use crate::stream::{
+    evaluate_rows, Accumulate, NonbondedStream, PairRecord, PairSink, RowScratch, SlotData,
+    ROW_SEGMENT,
+};
 use crate::system::System;
 use crate::telemetry::{Counters, Phase, PhaseBreakdownUs, StepProfile, Telemetry, TelemetryLevel};
 use crate::vec3::Vec3;
@@ -138,22 +140,6 @@ impl ShardGrid {
             }
         }
     }
-}
-
-/// One recorded in-cutoff pair: the canonical CSR position of the pair
-/// plus the per-pair force and energy terms, all pure functions of the two
-/// atom positions (identical bits regardless of the evaluating shard).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PairRecord {
-    /// Index into the working partner list (`stream.partners`) — the
-    /// pair's canonical position, which the replay maps to a scatter slot.
-    idx: u32,
-    /// Force on the row atom from this pair (`partner gets −f`).
-    f: Vec3,
-    e_lj: f64,
-    e_coul: f64,
-    virial: f64,
-    virial_lj: f64,
 }
 
 /// One spatial domain: its ownership plan, import region, NaN-poisoned
@@ -374,19 +360,36 @@ impl ShardSet {
         self.row_fs.resize(ns, Vec3::ZERO);
     }
 
-    /// Stage 1: every shard evaluates its owned rows against its local
-    /// mirror, writing per-pair records at canonical CSR positions. Serial
-    /// over shards (disjoint row ranges; see the module docs for why the
-    /// 1-CPU host makes shard-level threading pointless), timed and
-    /// counted per shard.
+    /// Stage 1: every shard runs the shared row evaluator
+    /// ([`evaluate_rows`]) over its owned rows, reading its local mirror —
+    /// so the records prove the shard touched only its planned region —
+    /// and feeding a [`RecordSink`] that writes per-pair records at
+    /// canonical CSR positions. Serial over shards (disjoint row ranges;
+    /// see the module docs for why the 1-CPU host makes shard-level
+    /// threading pointless), timed and counted per shard.
     pub(crate) fn record(&mut self, stream: &NonbondedStream, table: &PairTable, alpha: f64) {
-        let records = &mut self.pair_records[..];
-        let row_pairs = &mut self.row_pairs[..];
-        let row_fs = &mut self.row_fs[..];
+        let mut scratch: RowScratch<ROW_SEGMENT> = RowScratch::new();
         for shard in &mut self.shards {
             let t0 = shard.tel.start();
-            let (evaluated, cut) =
-                record_shard_rows(shard, stream, table, alpha, records, row_pairs, row_fs);
+            let atoms = SlotData {
+                pos: &shard.local_pos,
+                charge: &shard.local_charge,
+                lj_type: &shard.local_lj_type,
+            };
+            let sink = RecordSink {
+                records: &mut self.pair_records,
+                row_pairs: &mut self.row_pairs,
+                row_fs: &mut self.row_fs,
+            };
+            let (_, evaluated, cut) = evaluate_rows(
+                stream,
+                atoms,
+                table,
+                alpha,
+                shard.owned.iter().map(|&s| s as usize),
+                &mut scratch,
+                sink,
+            );
             shard.tel.count_pairs(evaluated, cut);
             shard.tel.stop(Phase::ShortRange, t0);
         }
@@ -533,125 +536,33 @@ impl ShardSet {
     }
 }
 
-/// Evaluate one shard's owned rows, writing per-pair records. Mirrors the
-/// streaming kernel's lane-batched inner loop exactly (same compression,
-/// same padding, same per-lane arithmetic), but reads positions/charges/
-/// types from the shard's poisoned local mirror — so the records prove the
-/// shard touched only its planned region — and writes records instead of
-/// accumulating. Returns (pairs evaluated, candidates cut).
-fn record_shard_rows(
-    shard: &mut Shard,
-    stream: &NonbondedStream,
-    table: &PairTable,
-    alpha: f64,
-    records: &mut [PairRecord],
-    row_pairs: &mut [u32],
-    row_fs: &mut [Vec3],
-) -> (u64, u64) {
-    let hb = HalfBox::new(&stream.pbc);
-    let cutoff_sq = table.cutoff_sq;
-    let mut evaluated = 0u64;
-    let mut cut = 0u64;
-    let mut dx = [0.0f64; LANES];
-    let mut dy = [0.0f64; LANES];
-    let mut dz = [0.0f64; LANES];
-    let mut r_sq = [0.0f64; LANES];
-    let mut lj_a = [0.0f64; LANES];
-    let mut lj_b = [0.0f64; LANES];
-    let mut lj_shift = [0.0f64; LANES];
-    let mut qq = [0.0f64; LANES];
-    let mut idxs = [0u32; LANES];
-    let mut f_lj = [0.0f64; LANES];
-    let mut f_coul = [0.0f64; LANES];
-    let mut e_lj = [0.0f64; LANES];
-    let mut e_coul = [0.0f64; LANES];
-    for &s in &shard.owned {
-        let s = s as usize;
-        let ps = shard.local_pos[s];
-        let qs = shard.local_charge[s];
-        let row = table.row(shard.local_lj_type[s]);
-        let mut fs = Vec3::ZERO;
-        let r0 = stream.start[s];
-        let r1 = stream.start[s + 1];
-        let mut w = r0;
-        let mut base = r0;
-        while base < r1 {
-            let mut k = 0;
-            while base < r1 && k < LANES {
-                let t = stream.partners[base] as usize;
-                let d = hb.min_image(ps - shard.local_pos[t]);
-                let rr = d.norm_sq();
-                debug_assert!(
-                    !rr.is_nan(),
-                    "shard {} read slot {t} outside its import region",
-                    shard.id
-                );
-                if rr < cutoff_sq {
-                    dx[k] = d.x;
-                    dy[k] = d.y;
-                    dz[k] = d.z;
-                    r_sq[k] = rr;
-                    let e = row[shard.local_lj_type[t] as usize];
-                    lj_a[k] = e.a;
-                    lj_b[k] = e.b;
-                    lj_shift[k] = e.shift;
-                    qq[k] = qs * shard.local_charge[t];
-                    idxs[k] = base as u32;
-                    k += 1;
-                } else {
-                    cut += 1;
-                }
-                base += 1;
-            }
-            if k == 0 {
-                continue;
-            }
-            for l in k..LANES {
-                r_sq[l] = 1.0;
-                lj_a[l] = 0.0;
-                lj_b[l] = 0.0;
-                lj_shift[l] = 0.0;
-                qq[l] = 0.0;
-            }
-            pair_interaction_lanes(
-                &r_sq,
-                &lj_a,
-                &lj_b,
-                &lj_shift,
-                &qq,
-                alpha,
-                &mut f_lj,
-                &mut f_coul,
-                &mut e_lj,
-                &mut e_coul,
-            );
-            for l in 0..k {
-                let f_over_r = f_lj[l] + f_coul[l];
-                let f = Vec3::new(dx[l], dy[l], dz[l]) * f_over_r;
-                fs += f;
-                records[w] = PairRecord {
-                    idx: idxs[l],
-                    f,
-                    e_lj: e_lj[l],
-                    e_coul: e_coul[l],
-                    virial: f_over_r * r_sq[l],
-                    virial_lj: f_lj[l] * r_sq[l],
-                };
-                w += 1;
-            }
-        }
-        row_fs[s] = fs;
-        row_pairs[s] = (w - r0) as u32;
-        evaluated += (w - r0) as u64;
-    }
-    (evaluated, cut)
+/// The recording sink of [`evaluate_rows`]: instead of accumulating, keep
+/// each row's in-cutoff pairs compacted at the row's CSR start, plus the
+/// row's force sum and pair count, for [`replay_rows`] to accumulate in
+/// canonical order.
+struct RecordSink<'a> {
+    records: &'a mut [PairRecord],
+    row_pairs: &'a mut [u32],
+    row_fs: &'a mut [Vec3],
 }
 
-/// Accumulate recorded pairs for rows `[lo, hi)` into `local`, visiting
-/// rows and pairs in exactly the streaming kernel's order: per pair the
-/// partner slot (via `slots`, as in `stream_rows`) receives `−f`, then the
-/// row's accumulated `fs` lands at `s − lo`. Energy and cut accumulation
-/// orders match the kernel too, so every f64 lands on identical bits.
+impl PairSink for RecordSink<'_> {
+    #[inline]
+    fn pair(&mut self, at: usize, rec: PairRecord) {
+        self.records[at] = rec;
+    }
+
+    #[inline]
+    fn row_done(&mut self, s: usize, fs: Vec3, pairs: usize) {
+        self.row_fs[s] = fs;
+        self.row_pairs[s] = pairs as u32;
+    }
+}
+
+/// Accumulate recorded pairs for rows `[lo, hi)` into `local` by feeding
+/// them, row by row and pair by pair, to the same [`Accumulate`] sink the
+/// single-image kernel feeds directly — so every f64 accumulator sees the
+/// identical addition sequence and lands on identical bits.
 #[allow(clippy::too_many_arguments)]
 fn replay_rows(
     stream: &NonbondedStream,
@@ -663,22 +574,18 @@ fn replay_rows(
     slots: &[u32],
     local: &mut [Vec3],
 ) -> (NonbondedEnergy, u64) {
-    let mut out = NonbondedEnergy::default();
+    let mut sink = Accumulate::new(slots, lo, local);
     let mut cut = 0u64;
     for s in lo..hi {
         let r0 = stream.start[s];
         let k = row_pairs[s] as usize;
-        for rec in &records[r0..r0 + k] {
-            local[slots[rec.idx as usize] as usize] -= rec.f;
-            out.lj += rec.e_lj;
-            out.coulomb_real += rec.e_coul;
-            out.virial += rec.virial;
-            out.virial_lj += rec.virial_lj;
+        for (at, rec) in (r0..r0 + k).zip(&records[r0..r0 + k]) {
+            sink.pair(at, *rec);
         }
-        local[s - lo] += row_fs[s];
+        sink.row_done(s, row_fs[s], k);
         cut += (stream.start[s + 1] - r0 - k) as u64;
     }
-    (out, cut)
+    (sink.out, cut)
 }
 
 #[cfg(test)]

@@ -30,9 +30,13 @@
 //!
 //! [`nonbonded_forces_streamed`] evaluates the stream either serially or
 //! with the fixed-chunk deterministic reduction contract from DESIGN.md §9.
-//! The inner loop is batched [`LANES`] pairs wide with explicit lane arrays
-//! (compress in-cutoff pairs → compute → accumulate) over the table-driven
-//! [`crate::erfc::erfc_exp_fast8`] spline. The parallel path writes into
+//! Every pair — single image or shard — goes through one row evaluator,
+//! `evaluate_rows`, which works match-then-compute like the HTIS: pass A
+//! distance-tests a row's candidates and compacts the survivors, pass B
+//! runs them [`LANES`] at a time through the table-driven
+//! [`crate::erfc::erfc_exp_fast8`] spline kernel and hands each pair, in
+//! partner order, to a sink (accumulate, or record for the shard replay —
+//! DESIGN.md §10, §16). The parallel path writes into
 //! chunk-local buffers sized `rows + imports` (not full-length, so force
 //! traffic is O(pairs), not O(chunks × atoms)) and is bitwise independent
 //! of the rayon thread count; both paths match the reference
@@ -239,6 +243,15 @@ impl NonbondedStream {
     /// [`NonbondedWorkspace::rebuild_at_epoch`]). Empty before first build.
     pub fn ext_ref_positions(&self) -> &[Vec3] {
         &self.ext_ref_positions
+    }
+
+    /// The stream's own per-slot atom data, as the row evaluator reads it.
+    pub(crate) fn atoms(&self) -> SlotData<'_> {
+        SlotData {
+            pos: &self.pos,
+            charge: &self.charge,
+            lj_type: &self.lj_type,
+        }
     }
 
     /// Why the stream is stale for `system`, or `None` if it is current.
@@ -616,113 +629,244 @@ impl NonbondedWorkspace {
     }
 }
 
-/// Evaluate one chunk of sorted rows against the stream, accumulating into
-/// `local`. Rows accumulate at `s − lo`; partner slots come from `slots`
-/// (parallel to the working partner array): the full sorted index for the
-/// serial full-length buffer, or the chunk-local plan for the parallel
-/// path. Returns the energies plus the number of candidate pairs rejected
-/// by the cutoff test (an exact integer, so chunk sums are independent of
-/// evaluation order).
+/// Candidates matched per pass-A segment of [`evaluate_rows`]. A DHFR row
+/// averages ≈ 190 candidates, so nearly every row is one segment; longer
+/// rows are processed segment by segment in order. 512 × 36 B = 18 KB of
+/// stack, L1-resident.
+pub(crate) const ROW_SEGMENT: usize = 512;
+
+/// Pass-A output of [`evaluate_rows`] for one row segment: displacement,
+/// r² and working-list position of every candidate inside the cutoff,
+/// compacted in partner order. Lives on the evaluating thread's stack.
+pub(crate) struct RowScratch<const SEG: usize> {
+    dx: [f64; SEG],
+    dy: [f64; SEG],
+    dz: [f64; SEG],
+    r_sq: [f64; SEG],
+    idx: [u32; SEG],
+}
+
+impl<const SEG: usize> RowScratch<SEG> {
+    pub(crate) fn new() -> Self {
+        RowScratch {
+            dx: [0.0; SEG],
+            dy: [0.0; SEG],
+            dz: [0.0; SEG],
+            r_sq: [0.0; SEG],
+            idx: [0; SEG],
+        }
+    }
+}
+
+/// The per-slot atom data [`evaluate_rows`] reads, in sorted stream order:
+/// the stream's own SoA for the single image, a shard's NaN-poisoned
+/// mirror for a shard.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotData<'a> {
+    pub(crate) pos: &'a [Vec3],
+    pub(crate) charge: &'a [f64],
+    pub(crate) lj_type: &'a [u32],
+}
+
+/// One in-cutoff pair as [`evaluate_rows`] emits it: the pair's position in
+/// the working partner list plus its force and energy terms, all pure
+/// functions of the two atoms (identical bits whoever evaluates them).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PairRecord {
+    /// Index into `stream.partners` (and the parallel slot arrays).
+    idx: u32,
+    /// Force on the row atom from this pair (the partner gets `−f`).
+    f: Vec3,
+    e_lj: f64,
+    e_coul: f64,
+    virial: f64,
+    virial_lj: f64,
+}
+
+/// Where [`evaluate_rows`] sends its results. Two implementations:
+/// [`Accumulate`] (the single image, and the shard replay) and the shard
+/// layer's record sink.
+pub(crate) trait PairSink {
+    /// The next in-cutoff pair of the current row, in partner order. `at`
+    /// is the row's CSR start plus the pair's rank among the row's
+    /// in-cutoff pairs — where a compacted per-row record goes.
+    fn pair(&mut self, at: usize, rec: PairRecord);
+    /// Row `s` is complete: `fs` is the sum of its pair forces in partner
+    /// order, `pairs` its in-cutoff pair count.
+    fn row_done(&mut self, s: usize, fs: Vec3, pairs: usize);
+}
+
+/// The accumulating sink: partner slots (via `slots`, parallel to the
+/// working partner array — the full sorted index for the serial
+/// full-length buffer, the chunk-local plan for the parallel path) receive
+/// `−f`, rows land at `s − lo`, energies add up in pair order. Every f64
+/// accumulator therefore sees one fixed addition sequence, whether the
+/// pairs come straight from [`evaluate_rows`] or from recorded shards.
+pub(crate) struct Accumulate<'a> {
+    slots: &'a [u32],
+    lo: usize,
+    local: &'a mut [Vec3],
+    /// Energies and virials accumulated so far.
+    pub(crate) out: NonbondedEnergy,
+}
+
+impl<'a> Accumulate<'a> {
+    /// A sink for rows starting at `lo`, accumulating into `local`.
+    pub(crate) fn new(slots: &'a [u32], lo: usize, local: &'a mut [Vec3]) -> Self {
+        Accumulate {
+            slots,
+            lo,
+            local,
+            out: NonbondedEnergy::default(),
+        }
+    }
+}
+
+impl PairSink for Accumulate<'_> {
+    #[inline]
+    fn pair(&mut self, _at: usize, rec: PairRecord) {
+        self.local[self.slots[rec.idx as usize] as usize] -= rec.f;
+        self.out.lj += rec.e_lj;
+        self.out.coulomb_real += rec.e_coul;
+        self.out.virial += rec.virial;
+        self.out.virial_lj += rec.virial_lj;
+    }
+
+    #[inline]
+    fn row_done(&mut self, s: usize, fs: Vec3, _pairs: usize) {
+        self.local[s - self.lo] += fs;
+    }
+}
+
+/// The one pair evaluator: match, then compute, row by row — the CPU
+/// analogue of HTIS match units feeding the PPIPs only the candidates
+/// that passed the distance test.
 ///
-/// The pair loop is batched [`LANES`] wide: compress in-cutoff pairs into
-/// lane arrays in partner order (pairs in the skin shell beyond the cutoff
-/// cost one distance check, never a kernel evaluation), evaluate
-/// [`pair_interaction_lanes`] (bitwise identical per lane to the scalar
-/// kernel), then accumulate the packed lanes. Padding lanes get benign
-/// inputs and are never accumulated.
+/// * **Pass A (match)** walks a segment of the row's candidates once,
+///   computes the minimum-image displacement and r², and compacts the
+///   in-cutoff ones into `scratch` branch-free (always write, advance the
+///   cursor by the comparison result). Pairs in the skin shell cost one
+///   distance check and nothing else.
+/// * **Pass B (compute)** walks the survivors [`LANES`] at a time, gathers
+///   the `PairTable` entry and charge product for them only, evaluates
+///   [`pair_interaction_lanes`] (bitwise identical per lane to the scalar
+///   kernel; padding lanes get benign inputs and are never read) and feeds
+///   `sink` in partner order.
+///
+/// Lanes are independent and every sink call happens in partner order, so
+/// the result does not depend on `SEG` or on how survivors group into lane
+/// batches. The sink is taken by value and handed back — its accumulators
+/// then live in registers whether or not this call is inlined — together
+/// with (pairs evaluated, candidates rejected by the cutoff): exact
+/// integers, so sums over chunks or shards are order-independent.
 #[inline]
-fn stream_rows(
+pub(crate) fn evaluate_rows<const SEG: usize, S: PairSink>(
     stream: &NonbondedStream,
+    atoms: SlotData<'_>,
     table: &PairTable,
     alpha: f64,
-    lo: usize,
-    hi: usize,
-    slots: &[u32],
-    local: &mut [Vec3],
-) -> (NonbondedEnergy, u64) {
+    rows: impl Iterator<Item = usize>,
+    scratch: &mut RowScratch<SEG>,
+    mut sink: S,
+) -> (S, u64, u64) {
     let hb = HalfBox::new(&stream.pbc);
     let cutoff_sq = table.cutoff_sq;
-    let mut out = NonbondedEnergy::default();
+    let mut evaluated = 0u64;
     let mut cut = 0u64;
-    let mut dx = [0.0f64; LANES];
-    let mut dy = [0.0f64; LANES];
-    let mut dz = [0.0f64; LANES];
     let mut r_sq = [0.0f64; LANES];
     let mut lj_a = [0.0f64; LANES];
     let mut lj_b = [0.0f64; LANES];
     let mut lj_shift = [0.0f64; LANES];
     let mut qq = [0.0f64; LANES];
-    let mut slot = [0usize; LANES];
     let mut f_lj = [0.0f64; LANES];
     let mut f_coul = [0.0f64; LANES];
     let mut e_lj = [0.0f64; LANES];
     let mut e_coul = [0.0f64; LANES];
-    for s in lo..hi {
-        let ps = stream.pos[s];
-        let qs = stream.charge[s];
-        let row = table.row(stream.lj_type[s]);
+    for s in rows {
+        let ps = atoms.pos[s];
+        let qs = atoms.charge[s];
+        let row = table.row(atoms.lj_type[s]);
         let mut fs = Vec3::ZERO;
+        let r0 = stream.start[s];
         let r1 = stream.start[s + 1];
-        let mut base = stream.start[s];
-        while base < r1 {
-            let mut k = 0;
-            while base < r1 && k < LANES {
-                let t = stream.partners[base] as usize;
-                let d = hb.min_image(ps - stream.pos[t]);
+        let mut w = r0;
+        let mut seg0 = r0;
+        while seg0 < r1 {
+            let seg1 = r1.min(seg0 + SEG);
+            let mut n = 0usize;
+            for (base, &t) in (seg0..seg1).zip(&stream.partners[seg0..seg1]) {
+                let d = hb.min_image(ps - atoms.pos[t as usize]);
                 let rr = d.norm_sq();
-                if rr < cutoff_sq {
-                    dx[k] = d.x;
-                    dy[k] = d.y;
-                    dz[k] = d.z;
-                    r_sq[k] = rr;
-                    let e = row[stream.lj_type[t] as usize];
-                    lj_a[k] = e.a;
-                    lj_b[k] = e.b;
-                    lj_shift[k] = e.shift;
-                    qq[k] = qs * stream.charge[t];
-                    slot[k] = slots[base] as usize;
-                    k += 1;
-                } else {
-                    cut += 1;
+                // The compress below would silently count a NaN as "cut".
+                debug_assert!(
+                    !rr.is_nan(),
+                    "row {s} read slot {t} outside its planned region"
+                );
+                scratch.dx[n] = d.x;
+                scratch.dy[n] = d.y;
+                scratch.dz[n] = d.z;
+                scratch.r_sq[n] = rr;
+                scratch.idx[n] = base as u32;
+                n += (rr < cutoff_sq) as usize;
+            }
+            cut += (seg1 - seg0 - n) as u64;
+            let mut c = 0usize;
+            while c < n {
+                let k = LANES.min(n - c);
+                for l in 0..k {
+                    let t = stream.partners[scratch.idx[c + l] as usize] as usize;
+                    let e = row[atoms.lj_type[t] as usize];
+                    r_sq[l] = scratch.r_sq[c + l];
+                    lj_a[l] = e.a;
+                    lj_b[l] = e.b;
+                    lj_shift[l] = e.shift;
+                    qq[l] = qs * atoms.charge[t];
                 }
-                base += 1;
+                for l in k..LANES {
+                    r_sq[l] = 1.0;
+                    lj_a[l] = 0.0;
+                    lj_b[l] = 0.0;
+                    lj_shift[l] = 0.0;
+                    qq[l] = 0.0;
+                }
+                pair_interaction_lanes(
+                    &r_sq,
+                    &lj_a,
+                    &lj_b,
+                    &lj_shift,
+                    &qq,
+                    alpha,
+                    &mut f_lj,
+                    &mut f_coul,
+                    &mut e_lj,
+                    &mut e_coul,
+                );
+                for l in 0..k {
+                    let f_over_r = f_lj[l] + f_coul[l];
+                    let f = Vec3::new(scratch.dx[c + l], scratch.dy[c + l], scratch.dz[c + l])
+                        * f_over_r;
+                    fs += f;
+                    sink.pair(
+                        w,
+                        PairRecord {
+                            idx: scratch.idx[c + l],
+                            f,
+                            e_lj: e_lj[l],
+                            e_coul: e_coul[l],
+                            virial: f_over_r * r_sq[l],
+                            virial_lj: f_lj[l] * r_sq[l],
+                        },
+                    );
+                    w += 1;
+                }
+                c += k;
             }
-            if k == 0 {
-                continue;
-            }
-            for l in k..LANES {
-                r_sq[l] = 1.0;
-                lj_a[l] = 0.0;
-                lj_b[l] = 0.0;
-                lj_shift[l] = 0.0;
-                qq[l] = 0.0;
-            }
-            pair_interaction_lanes(
-                &r_sq,
-                &lj_a,
-                &lj_b,
-                &lj_shift,
-                &qq,
-                alpha,
-                &mut f_lj,
-                &mut f_coul,
-                &mut e_lj,
-                &mut e_coul,
-            );
-            for l in 0..k {
-                let f_over_r = f_lj[l] + f_coul[l];
-                let f = Vec3::new(dx[l], dy[l], dz[l]) * f_over_r;
-                fs += f;
-                local[slot[l]] -= f;
-                out.lj += e_lj[l];
-                out.coulomb_real += e_coul[l];
-                out.virial += f_over_r * r_sq[l];
-                out.virial_lj += f_lj[l] * r_sq[l];
-            }
+            seg0 = seg1;
         }
-        local[s - lo] += fs;
+        sink.row_done(s, fs, w - r0);
+        evaluated += (w - r0) as u64;
     }
-    (out, cut)
+    (sink, evaluated, cut)
 }
 
 /// Streaming nonbonded kernel: brings the stream in `ws` up to date for
@@ -791,7 +935,17 @@ pub fn nonbonded_forces_streamed_profiled(
                 let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
                 local.resize(len, Vec3::ZERO);
                 local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                *slot = stream_rows(stream, table, alpha, lo, hi, &stream.partners_local, local);
+                let mut scratch: RowScratch<ROW_SEGMENT> = RowScratch::new();
+                let (sink, _, cut) = evaluate_rows(
+                    stream,
+                    stream.atoms(),
+                    table,
+                    alpha,
+                    lo..hi,
+                    &mut scratch,
+                    Accumulate::new(&stream.partners_local, lo, local),
+                );
+                *slot = (sink.out, cut);
             });
         // Deterministic reduction: chunk order is fixed, own rows then
         // imports; each atom receives its additions in ascending chunk
@@ -822,7 +976,17 @@ pub fn nonbonded_forces_streamed_profiled(
         let local = &mut ws.chunks[0];
         local.resize(ns, Vec3::ZERO);
         local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-        let (out, cut) = stream_rows(stream, table, alpha, 0, ns, &stream.partners, local);
+        let mut scratch: RowScratch<ROW_SEGMENT> = RowScratch::new();
+        let (sink, _, cut) = evaluate_rows(
+            stream,
+            stream.atoms(),
+            table,
+            alpha,
+            0..ns,
+            &mut scratch,
+            Accumulate::new(&stream.partners, 0, local),
+        );
+        let out = sink.out;
         for (s, l) in local.iter().enumerate() {
             forces[stream.order[s] as usize] += *l;
         }
@@ -861,6 +1025,246 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert!((*x - *y).norm() <= tol * (1.0 + x.norm()), "{x:?} vs {y:?}");
         }
+    }
+
+    /// The parent commit's interleaved row loop (distance test, gathers and
+    /// lane stores per candidate, behind the cutoff branch), kept verbatim
+    /// as the oracle [`evaluate_rows`] must equal bit for bit.
+    fn stream_rows(
+        stream: &NonbondedStream,
+        table: &PairTable,
+        alpha: f64,
+        lo: usize,
+        hi: usize,
+        slots: &[u32],
+        local: &mut [Vec3],
+    ) -> (NonbondedEnergy, u64) {
+        let hb = HalfBox::new(&stream.pbc);
+        let cutoff_sq = table.cutoff_sq;
+        let mut out = NonbondedEnergy::default();
+        let mut cut = 0u64;
+        let mut dx = [0.0f64; LANES];
+        let mut dy = [0.0f64; LANES];
+        let mut dz = [0.0f64; LANES];
+        let mut r_sq = [0.0f64; LANES];
+        let mut lj_a = [0.0f64; LANES];
+        let mut lj_b = [0.0f64; LANES];
+        let mut lj_shift = [0.0f64; LANES];
+        let mut qq = [0.0f64; LANES];
+        let mut slot = [0usize; LANES];
+        let mut f_lj = [0.0f64; LANES];
+        let mut f_coul = [0.0f64; LANES];
+        let mut e_lj = [0.0f64; LANES];
+        let mut e_coul = [0.0f64; LANES];
+        for s in lo..hi {
+            let ps = stream.pos[s];
+            let qs = stream.charge[s];
+            let row = table.row(stream.lj_type[s]);
+            let mut fs = Vec3::ZERO;
+            let r1 = stream.start[s + 1];
+            let mut base = stream.start[s];
+            while base < r1 {
+                let mut k = 0;
+                while base < r1 && k < LANES {
+                    let t = stream.partners[base] as usize;
+                    let d = hb.min_image(ps - stream.pos[t]);
+                    let rr = d.norm_sq();
+                    if rr < cutoff_sq {
+                        dx[k] = d.x;
+                        dy[k] = d.y;
+                        dz[k] = d.z;
+                        r_sq[k] = rr;
+                        let e = row[stream.lj_type[t] as usize];
+                        lj_a[k] = e.a;
+                        lj_b[k] = e.b;
+                        lj_shift[k] = e.shift;
+                        qq[k] = qs * stream.charge[t];
+                        slot[k] = slots[base] as usize;
+                        k += 1;
+                    } else {
+                        cut += 1;
+                    }
+                    base += 1;
+                }
+                if k == 0 {
+                    continue;
+                }
+                for l in k..LANES {
+                    r_sq[l] = 1.0;
+                    lj_a[l] = 0.0;
+                    lj_b[l] = 0.0;
+                    lj_shift[l] = 0.0;
+                    qq[l] = 0.0;
+                }
+                pair_interaction_lanes(
+                    &r_sq,
+                    &lj_a,
+                    &lj_b,
+                    &lj_shift,
+                    &qq,
+                    alpha,
+                    &mut f_lj,
+                    &mut f_coul,
+                    &mut e_lj,
+                    &mut e_coul,
+                );
+                for l in 0..k {
+                    let f_over_r = f_lj[l] + f_coul[l];
+                    let f = Vec3::new(dx[l], dy[l], dz[l]) * f_over_r;
+                    fs += f;
+                    local[slot[l]] -= f;
+                    out.lj += e_lj[l];
+                    out.coulomb_real += e_coul[l];
+                    out.virial += f_over_r * r_sq[l];
+                    out.virial_lj += f_lj[l] * r_sq[l];
+                }
+            }
+            local[s - lo] += fs;
+        }
+        (out, cut)
+    }
+
+    fn vec_bits(v: &[Vec3]) -> Vec<[u64; 3]> {
+        v.iter()
+            .map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()])
+            .collect()
+    }
+
+    fn energy_bits(e: NonbondedEnergy) -> [u64; 4] {
+        [
+            e.lj.to_bits(),
+            e.coulomb_real.to_bits(),
+            e.virial.to_bits(),
+            e.virial_lj.to_bits(),
+        ]
+    }
+
+    /// Evaluate `system` with the oracle and with the two-pass evaluator at
+    /// segment length `SEG` — the whole row range into a full-length
+    /// buffer (serial slots) and each of the `NB_CHUNKS` row chunks into
+    /// its chunk-local buffer (plan slots) — and require identical bits in
+    /// every force component, every energy/virial and the cut count.
+    /// Returns (candidates, cut, longest row).
+    fn assert_evaluator_matches_oracle<const SEG: usize>(system: &System) -> (u64, u64, usize) {
+        let table = system.pair_table();
+        let alpha = system.nb.ewald_alpha;
+        let mut ws = NonbondedWorkspace::new();
+        ws.stream.ensure(system);
+        let stream = &ws.stream;
+        let ns = stream.pos.len();
+        let mut spans = vec![(0, ns, &stream.partners[..], ns)];
+        for c in 0..NB_CHUNKS {
+            let lo = c * ns / NB_CHUNKS;
+            let hi = (c + 1) * ns / NB_CHUNKS;
+            let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
+            spans.push((lo, hi, &stream.partners_local[..], len));
+        }
+        let mut total_cut = 0;
+        for (lo, hi, slots, len) in spans {
+            let mut want = vec![Vec3::ZERO; len];
+            let (e_want, cut_want) = stream_rows(stream, &table, alpha, lo, hi, slots, &mut want);
+            let mut got = vec![Vec3::ZERO; len];
+            let mut scratch: RowScratch<SEG> = RowScratch::new();
+            let (sink, evaluated, cut_got) = evaluate_rows(
+                stream,
+                stream.atoms(),
+                &table,
+                alpha,
+                lo..hi,
+                &mut scratch,
+                Accumulate::new(slots, lo, &mut got),
+            );
+            let e_got = sink.out;
+            let candidates = (stream.start[hi] - stream.start[lo]) as u64;
+            assert_eq!(evaluated + cut_got, candidates, "rows {lo}..{hi}");
+            assert_eq!(vec_bits(&got), vec_bits(&want), "forces, rows {lo}..{hi}");
+            assert_eq!(energy_bits(e_got), energy_bits(e_want), "rows {lo}..{hi}");
+            assert_eq!(cut_got, cut_want, "cut count, rows {lo}..{hi}");
+            if len == ns {
+                total_cut = cut_got;
+            }
+        }
+        let longest = (0..ns)
+            .map(|s| stream.start[s + 1] - stream.start[s])
+            .max()
+            .unwrap_or(0);
+        (stream.partners.len() as u64, total_cut, longest)
+    }
+
+    /// Displace every atom by up to ±`amp` Å per axis.
+    fn jitter(system: &mut System, amp: f64, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        for p in &mut system.positions {
+            *p += Vec3::new(
+                (rng.gen::<f64>() - 0.5) * 2.0 * amp,
+                (rng.gen::<f64>() - 0.5) * 2.0 * amp,
+                (rng.gen::<f64>() - 0.5) * 2.0 * amp,
+            );
+        }
+    }
+
+    /// Number of working-list pairs whose minimum image crosses the
+    /// periodic seam (the fold changes the raw displacement).
+    fn seam_pairs(system: &System) -> usize {
+        let mut ws = NonbondedWorkspace::new();
+        ws.stream.ensure(system);
+        let st = &ws.stream;
+        let hb = HalfBox::new(&st.pbc);
+        (0..st.pos.len())
+            .flat_map(|s| {
+                st.partners[st.start[s]..st.start[s + 1]]
+                    .iter()
+                    .map(move |&t| (s, t))
+            })
+            .filter(|&(s, t)| {
+                let d = st.pos[s] - st.pos[t as usize];
+                hb.min_image(d) != d
+            })
+            .count()
+    }
+
+    #[test]
+    fn evaluator_is_bitwise_the_old_row_loop() {
+        for seed in [3u64, 4] {
+            // Cell path (3×3×3 cells at cutoff + skin = 6 Å), atoms wrapped
+            // across the seam by the jitter.
+            let mut cells = water_box(6, 6, 6, seed);
+            cells.nb.cutoff = 5.0;
+            cells.nb.skin = 1.0;
+            cells.nb.ewald_alpha = 3.0 / 5.0;
+            jitter(&mut cells, 0.15, seed + 100);
+            assert!(seam_pairs(&cells) > 0, "no seam-crossing pair");
+            let (pairs, cut, longest) = assert_evaluator_matches_oracle::<ROW_SEGMENT>(&cells);
+            assert!(cut > 0 && cut < pairs, "both sides of the cutoff test");
+            assert!(longest <= ROW_SEGMENT, "single-segment rows");
+            // Same system through an 8-candidate segment: rows span many
+            // segments and survivors regroup into different lane batches.
+            assert_evaluator_matches_oracle::<8>(&cells);
+            assert!(longest > 3 * 8, "rows longer than the tiny segment");
+
+            // Small box → all-pairs fallback stream.
+            let mut small = water_box(3, 3, 3, seed);
+            jitter(&mut small, 0.1, seed + 200);
+            assert!(ws_is_fallback(&small));
+            assert_evaluator_matches_oracle::<ROW_SEGMENT>(&small);
+            assert_evaluator_matches_oracle::<8>(&small);
+
+            // Bonded protein in water: many LJ types, exclusions baked out
+            // of the list (1-2/1-3 inside the chain, whole waters).
+            let mut protein = crate::builders::solvated_protein(60, 300, seed);
+            jitter(&mut protein, 0.1, seed + 300);
+            assert!(protein.topology.exclusions.n_excluded_pairs() > 3 * 300);
+            assert_evaluator_matches_oracle::<ROW_SEGMENT>(&protein);
+            assert_evaluator_matches_oracle::<8>(&protein);
+        }
+    }
+
+    fn ws_is_fallback(system: &System) -> bool {
+        let mut ws = NonbondedWorkspace::new();
+        ws.stream.ensure(system);
+        ws.stream.cell_dims.is_none()
     }
 
     #[test]
