@@ -531,25 +531,31 @@ impl RunSummary {
 }
 
 /// Reusable per-step scratch owned by the engine: k-space grids and FFT
-/// scratch, the per-chunk bonded force buffers, and the streaming nonbonded
+/// scratch, the per-chunk bonded force buffers, the streaming nonbonded
 /// workspace (cell-sorted atom stream, baked neighbor list, chunk force
-/// accumulators). Holding these across steps makes the whole force pipeline
-/// allocation-free in steady state.
+/// accumulators) and the integrator's two position buffers. Holding these
+/// across steps makes the whole step allocation-free in steady state.
 pub struct StepWorkspace {
     gse: Option<GseWorkspace>,
     bonded: Vec<Vec<Vec3>>,
     nonbonded: NonbondedWorkspace,
+    /// Positions before the drift: the constraint reference geometry.
+    reference: Vec<Vec3>,
+    /// Positions after the drift, before constraint projection.
+    unconstrained: Vec<Vec3>,
     /// Telemetry sink: phase timers and work counters live with the rest of
     /// the per-step scratch so the hot path touches one struct.
     tel: Telemetry,
 }
 
 impl StepWorkspace {
-    fn for_engine(gse: Option<&Gse>, tel: Telemetry) -> Self {
+    fn for_engine(gse: Option<&Gse>, n_atoms: usize, tel: Telemetry) -> Self {
         StepWorkspace {
             gse: gse.map(GseWorkspace::for_gse),
             bonded: (0..BONDED_CHUNKS).map(|_| Vec::new()).collect(),
             nonbonded: NonbondedWorkspace::new(),
+            reference: vec![Vec3::ZERO; n_atoms],
+            unconstrained: vec![Vec3::ZERO; n_atoms],
             tel,
         }
     }
@@ -642,7 +648,7 @@ impl Engine {
         let n = system.n_atoms();
         let shards =
             (!cfg.decomposition.is_single()).then(|| ShardSet::new(cfg.decomposition, tel.level()));
-        let ws = StepWorkspace::for_engine(gse.as_ref(), tel);
+        let ws = StepWorkspace::for_engine(gse.as_ref(), n, tel);
         let mut engine = Engine {
             system,
             cfg,
@@ -933,18 +939,21 @@ impl Engine {
         }
 
         // Drift with constraint projection.
-        let reference = self.system.positions.clone();
-        let unconstrained: Vec<Vec3> = self
+        self.ws.reference.copy_from_slice(&self.system.positions);
+        for (p, v) in self
             .system
             .positions
-            .iter()
+            .iter_mut()
             .zip(&self.system.velocities)
-            .map(|(p, v)| *p + *v * dt)
-            .collect();
-        self.system.positions = unconstrained.clone();
+        {
+            *p += *v * dt;
+        }
+        self.ws
+            .unconstrained
+            .copy_from_slice(&self.system.positions);
         self.ws.tel.stop(Phase::Integration, t0);
         let t0 = self.ws.tel.start();
-        self.apply_position_constraints(&reference);
+        self.apply_position_constraints();
         self.ws.tel.stop(Phase::Constraints, t0);
         // Velocity correction from the constraint displacement. The
         // constrained position may sit in a different periodic image than
@@ -957,7 +966,7 @@ impl Engine {
             .velocities
             .iter_mut()
             .zip(&self.system.positions)
-            .zip(&unconstrained)
+            .zip(&self.ws.unconstrained)
         {
             *v += pbc.min_image(*pc, *pu) / dt;
         }
@@ -1058,20 +1067,24 @@ impl Engine {
             }
         }
         // Rigid waters translate by the COM displacement.
-        let masses = &self.system.topology.masses;
-        let waters = self.system.topology.waters.clone();
-        for w in &waters {
+        let System {
+            topology,
+            positions,
+            ..
+        } = &mut self.system;
+        let masses = &topology.masses;
+        for w in &topology.waters {
             let m: f64 = w.iter().map(|&a| masses[a]).sum();
             // Unwrap around the oxygen so the COM is well defined.
-            let o = self.system.positions[w[0]];
+            let o = positions[w[0]];
             let com: Vec3 = w
                 .iter()
-                .map(|&a| (o + old_box.min_image(self.system.positions[a], o)) * masses[a])
+                .map(|&a| (o + old_box.min_image(positions[a], o)) * masses[a])
                 .sum::<Vec3>()
                 / m;
             let shift = com * (mu - 1.0);
             for &a in w {
-                self.system.positions[a] += shift;
+                positions[a] += shift;
             }
         }
         for (a, p) in self.system.positions.iter_mut().enumerate() {
@@ -1200,61 +1213,53 @@ impl Engine {
         }
     }
 
-    fn apply_position_constraints(&mut self, reference: &[Vec3]) {
+    /// Project the drifted positions back onto the rigid-water / SHAKE
+    /// manifold, against the pre-drift geometry in `ws.reference`.
+    fn apply_position_constraints(&mut self) {
+        let System {
+            topology,
+            positions,
+            pbc,
+            ..
+        } = &mut self.system;
+        let reference = &self.ws.reference[..];
         if self.cfg.use_settle {
-            let waters = self.system.topology.waters.clone();
-            for w in &waters {
+            for w in &topology.waters {
                 let old = [reference[w[0]], reference[w[1]], reference[w[2]]];
-                let mut newp = [
-                    self.system.positions[w[0]],
-                    self.system.positions[w[1]],
-                    self.system.positions[w[2]],
-                ];
-                settle_positions(&self.settle, &self.system.pbc, old, &mut newp);
-                self.system.positions[w[0]] = newp[0];
-                self.system.positions[w[1]] = newp[1];
-                self.system.positions[w[2]] = newp[2];
+                let mut newp = [positions[w[0]], positions[w[1]], positions[w[2]]];
+                settle_positions(&self.settle, pbc, old, &mut newp);
+                positions[w[0]] = newp[0];
+                positions[w[1]] = newp[1];
+                positions[w[2]] = newp[2];
             }
         }
         if !self.constraints.is_empty() {
-            self.constraints.shake_positions(
-                &self.system.pbc,
-                reference,
-                &mut self.system.positions,
-                self.cfg.shake_tol,
-                500,
-            );
+            self.constraints
+                .shake_positions(pbc, reference, positions, self.cfg.shake_tol, 500);
         }
     }
 
     fn apply_velocity_constraints(&mut self) {
+        let System {
+            topology,
+            positions,
+            velocities,
+            pbc,
+            ..
+        } = &mut self.system;
         if self.cfg.use_settle {
-            let waters = self.system.topology.waters.clone();
-            for w in &waters {
-                let pos = [
-                    self.system.positions[w[0]],
-                    self.system.positions[w[1]],
-                    self.system.positions[w[2]],
-                ];
-                let mut vel = [
-                    self.system.velocities[w[0]],
-                    self.system.velocities[w[1]],
-                    self.system.velocities[w[2]],
-                ];
-                settle_velocities(&self.settle, &self.system.pbc, pos, &mut vel);
-                self.system.velocities[w[0]] = vel[0];
-                self.system.velocities[w[1]] = vel[1];
-                self.system.velocities[w[2]] = vel[2];
+            for w in &topology.waters {
+                let pos = [positions[w[0]], positions[w[1]], positions[w[2]]];
+                let mut vel = [velocities[w[0]], velocities[w[1]], velocities[w[2]]];
+                settle_velocities(&self.settle, pbc, pos, &mut vel);
+                velocities[w[0]] = vel[0];
+                velocities[w[1]] = vel[1];
+                velocities[w[2]] = vel[2];
             }
         }
         if !self.constraints.is_empty() {
-            self.constraints.rattle_velocities(
-                &self.system.pbc,
-                &self.system.positions,
-                &mut self.system.velocities,
-                self.cfg.shake_tol,
-                500,
-            );
+            self.constraints
+                .rattle_velocities(pbc, positions, velocities, self.cfg.shake_tol, 500);
         }
     }
 
@@ -1278,7 +1283,7 @@ impl Engine {
             if fmax < f_tol {
                 break;
             }
-            let reference = self.system.positions.clone();
+            self.ws.reference.copy_from_slice(&self.system.positions);
             let scale = step / fmax;
             for (p, (a, b)) in self
                 .system
@@ -1288,7 +1293,7 @@ impl Engine {
             {
                 *p += (*a + *b) * scale;
             }
-            self.apply_position_constraints(&reference);
+            self.apply_position_constraints();
             self.compute_short_forces();
             self.compute_long_forces();
             let trial = self.ledger.potential();
@@ -1297,7 +1302,7 @@ impl Engine {
                 step = (step * 1.2).min(0.2);
             } else {
                 // Reject: restore and shrink the step.
-                self.system.positions = reference;
+                self.system.positions.copy_from_slice(&self.ws.reference);
                 self.compute_short_forces();
                 self.compute_long_forces();
                 step *= 0.5;
