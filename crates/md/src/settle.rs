@@ -130,32 +130,57 @@ pub fn settle_positions(p: &SettleParams, pbc: &PbcBox, old: [Vec3; 3], new: &mu
     new[2] = com + from_frame(c3d);
 }
 
-/// Remove relative velocity components along the three rigid bonds of one
-/// water (RATTLE-style projection, iterated to tolerance — three coupled
-/// constraints converge in a handful of sweeps).
+/// Remove the relative velocity components along the three rigid bonds of
+/// one water: the RATTLE velocity projection in closed form. With bond
+/// vectors `r0 = r(O,H1)`, `r1 = r(O,H2)`, `r2 = r(H1,H2)` the corrected
+/// velocities are
+///
+/// ```text
+/// vO  −= (r0 λ0 + r1 λ1) / m_O
+/// vH1 += (r0 λ0 − r2 λ2) / m_H
+/// vH2 += (r1 λ1 + r2 λ2) / m_H
+/// ```
+///
+/// (total momentum is conserved term by term) and requiring `r·Δv = 0`
+/// on every bond gives one symmetric 3×3 system `A λ = b` for the three
+/// multipliers, solved here by cofactors — no sweeps, no tolerance.
 pub fn settle_velocities(
     p: &SettleParams,
     pbc: &PbcBox,
     positions: [Vec3; 3],
     velocities: &mut [Vec3; 3],
 ) {
-    let inv_m = [1.0 / p.m_o, 1.0 / p.m_h, 1.0 / p.m_h];
-    let bonds = [(0usize, 1usize), (0, 2), (1, 2)];
-    for _ in 0..64 {
-        let mut worst: f64 = 0.0;
-        for &(i, j) in &bonds {
-            let r = pbc.min_image(positions[i], positions[j]);
-            let v = velocities[i] - velocities[j];
-            let rv = r.dot(v);
-            worst = worst.max(rv.abs());
-            let k = rv / (r.norm_sq() * (inv_m[i] + inv_m[j]));
-            velocities[i] -= r * (k * inv_m[i]);
-            velocities[j] += r * (k * inv_m[j]);
-        }
-        if worst < 1e-12 {
-            return;
-        }
-    }
+    let i_o = 1.0 / p.m_o;
+    let i_h = 1.0 / p.m_h;
+    let r0 = pbc.min_image(positions[0], positions[1]);
+    let r1 = pbc.min_image(positions[0], positions[2]);
+    let r2 = pbc.min_image(positions[1], positions[2]);
+    let [v_o, v_h1, v_h2] = *velocities;
+
+    let a00 = (i_o + i_h) * r0.norm_sq();
+    let a11 = (i_o + i_h) * r1.norm_sq();
+    let a22 = 2.0 * i_h * r2.norm_sq();
+    let a01 = i_o * r0.dot(r1);
+    let a02 = -i_h * r0.dot(r2);
+    let a12 = i_h * r1.dot(r2);
+    let b0 = r0.dot(v_o - v_h1);
+    let b1 = r1.dot(v_o - v_h2);
+    let b2 = r2.dot(v_h1 - v_h2);
+
+    let c00 = a11 * a22 - a12 * a12;
+    let c01 = a02 * a12 - a01 * a22;
+    let c02 = a01 * a12 - a02 * a11;
+    let c11 = a00 * a22 - a02 * a02;
+    let c12 = a01 * a02 - a00 * a12;
+    let c22 = a00 * a11 - a01 * a01;
+    let det = a00 * c00 + a01 * c01 + a02 * c02;
+    let l0 = (c00 * b0 + c01 * b1 + c02 * b2) / det;
+    let l1 = (c01 * b0 + c11 * b1 + c12 * b2) / det;
+    let l2 = (c02 * b0 + c12 * b1 + c22 * b2) / det;
+
+    velocities[0] = v_o - (r0 * l0 + r1 * l1) * i_o;
+    velocities[1] = v_h1 + (r0 * l0 - r2 * l2) * i_h;
+    velocities[2] = v_h2 + (r1 * l1 + r2 * l2) * i_h;
 }
 
 #[cfg(test)]
@@ -310,6 +335,101 @@ mod tests {
         settle_positions(&p, &pbc, old, &mut new);
         let (e1, e2, e3) = bond_errors(&p, &pbc, &new);
         assert!(e1 < 1e-9 && e2 < 1e-9 && e3 < 1e-9, "{e1} {e2} {e3}");
+    }
+
+    /// The Gauss–Seidel sweep loop the closed form replaced (iterated to
+    /// 1e-12), kept verbatim as its oracle.
+    fn settle_velocities_sweep(
+        p: &SettleParams,
+        pbc: &PbcBox,
+        positions: [Vec3; 3],
+        velocities: &mut [Vec3; 3],
+    ) {
+        let inv_m = [1.0 / p.m_o, 1.0 / p.m_h, 1.0 / p.m_h];
+        let bonds = [(0usize, 1usize), (0, 2), (1, 2)];
+        for _ in 0..64 {
+            let mut worst: f64 = 0.0;
+            for &(i, j) in &bonds {
+                let r = pbc.min_image(positions[i], positions[j]);
+                let v = velocities[i] - velocities[j];
+                let rv = r.dot(v);
+                worst = worst.max(rv.abs());
+                let k = rv / (r.norm_sq() * (inv_m[i] + inv_m[j]));
+                velocities[i] -= r * (k * inv_m[i]);
+                velocities[j] += r * (k * inv_m[j]);
+            }
+            if worst < 1e-12 {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_velocities_match_the_sweep_oracle() {
+        let p = SettleParams::tip3p();
+        let pbc = PbcBox::cubic(20.0);
+        let m = [p.m_o, p.m_h, p.m_h];
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut gauss = move || {
+            // Box–Muller; thermal scale ~ sqrt(kT/m) at 300 K in Å/internal
+            // time is O(0.1–1), which is all that matters here.
+            let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(1e-300), rng.gen());
+            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        };
+        let rot = |v: Vec3, a: f64, b: f64| {
+            let (s1, c1) = a.sin_cos();
+            let (s2, c2) = b.sin_cos();
+            let v = v3(v.x * c1 - v.y * s1, v.x * s1 + v.y * c1, v.z);
+            v3(v.x, v.y * c2 - v.z * s2, v.y * s2 + v.z * c2)
+        };
+        let base = canonical_water(&p, Vec3::ZERO);
+        for trial in 0..200 {
+            // Random orientation; every fourth water has its center of
+            // mass on the x seam, so after wrapping its atoms sit on
+            // opposite box faces.
+            let (a, b) = (gauss() * 3.0, gauss() * 3.0);
+            let origin = if trial % 4 == 0 {
+                v3(20.0, 10.0 + gauss(), 10.0 + gauss())
+            } else {
+                v3(10.0 + gauss(), 10.0 + gauss(), 10.0 + gauss())
+            };
+            let pos = [0, 1, 2].map(|i| pbc.wrap(origin + rot(base[i], a, b)));
+            if trial % 4 == 0 {
+                let spread = (pos[1] - pos[2]).max_abs().max((pos[0] - pos[1]).max_abs());
+                assert!(spread > 10.0, "water {trial} does not straddle the seam");
+            }
+            let v0 = [0, 1, 2].map(|i| v3(gauss(), gauss(), gauss()) * (1.0 / m[i].sqrt()));
+
+            let mut got = v0;
+            settle_velocities(&p, &pbc, pos, &mut got);
+            let mut want = v0;
+            settle_velocities_sweep(&p, &pbc, pos, &mut want);
+
+            let scale = v0.iter().map(|v| v.norm()).fold(0.0, f64::max);
+            for i in 0..3 {
+                assert!(
+                    (got[i] - want[i]).norm() <= 1e-10 * scale,
+                    "trial {trial} atom {i}: {:?} vs {:?}",
+                    got[i],
+                    want[i]
+                );
+            }
+            for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+                let r = pbc.min_image(pos[i], pos[j]);
+                let v = got[i] - got[j];
+                assert!(
+                    r.dot(v).abs() <= 1e-12 * r.norm() * v.norm(),
+                    "trial {trial} bond ({i},{j}): r.v = {:e}",
+                    r.dot(v)
+                );
+            }
+            let mom = |v: &[Vec3; 3]| v[0] * m[0] + v[1] * m[1] + v[2] * m[2];
+            assert!(
+                (mom(&got) - mom(&v0)).norm() <= 1e-14 * p.m_o * scale,
+                "trial {trial}: momentum moved by {:e}",
+                (mom(&got) - mom(&v0)).norm()
+            );
+        }
     }
 
     #[test]
