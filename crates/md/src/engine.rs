@@ -12,7 +12,7 @@ use crate::constraints::ConstraintSet;
 use crate::ewald::{background_energy, self_energy, EwaldKSpace};
 use crate::forcefield::PairTable;
 use crate::gse::{Gse, GseParams, GseWorkspace};
-use crate::integrate::{langevin_o_step, RespaSchedule};
+use crate::integrate::{drift, langevin_o_step, RespaSchedule};
 use crate::observables::EnergyLedger;
 use crate::pairkernel::{excluded_corrections, scaled14_corrections, NonbondedEnergy};
 use crate::pbc::PbcBox;
@@ -940,14 +940,11 @@ impl Engine {
 
         // Drift with constraint projection.
         self.ws.reference.copy_from_slice(&self.system.positions);
-        for (p, v) in self
-            .system
-            .positions
-            .iter_mut()
-            .zip(&self.system.velocities)
-        {
-            *p += *v * dt;
-        }
+        drift(
+            &mut self.system.positions,
+            &self.system.velocities,
+            self.cfg.dt_fs,
+        );
         self.ws
             .unconstrained
             .copy_from_slice(&self.system.positions);

@@ -371,8 +371,7 @@ mod tests {
         let m = [p.m_o, p.m_h, p.m_h];
         let mut rng = StdRng::seed_from_u64(23);
         let mut gauss = move || {
-            // Box–Muller; thermal scale ~ sqrt(kT/m) at 300 K in Å/internal
-            // time is O(0.1–1), which is all that matters here.
+            // Box–Muller.
             let (u1, u2): (f64, f64) = (rng.gen::<f64>().max(1e-300), rng.gen());
             (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
         };

@@ -1247,7 +1247,7 @@ mod tests {
             // Small box → all-pairs fallback stream.
             let mut small = water_box(3, 3, 3, seed);
             jitter(&mut small, 0.1, seed + 200);
-            assert!(ws_is_fallback(&small));
+            assert!(CellGrid::dims_for(&small.pbc, small.nb.cutoff + small.nb.skin).is_none());
             assert_evaluator_matches_oracle::<ROW_SEGMENT>(&small);
             assert_evaluator_matches_oracle::<8>(&small);
 
@@ -1259,12 +1259,6 @@ mod tests {
             assert_evaluator_matches_oracle::<ROW_SEGMENT>(&protein);
             assert_evaluator_matches_oracle::<8>(&protein);
         }
-    }
-
-    fn ws_is_fallback(system: &System) -> bool {
-        let mut ws = NonbondedWorkspace::new();
-        ws.stream.ensure(system);
-        ws.stream.cell_dims.is_none()
     }
 
     #[test]
