@@ -56,10 +56,9 @@ pub const HOT_MODULES: &[&str] = &[
 /// kernels (the fixed-point API is hot by contract even where the current
 /// in-tree callers are few — external node kernels call it).
 pub const ENTRY_POINTS: &[(&str, &str, EntryKind)] = &[
-    // Phase::NeighborRebuild — stream refresh decision + rebuild/patch.
+    // Phase::NeighborRebuild — stream refresh decision + rebuild.
     ("stream.rs", "ensure", EntryKind::Step),
     ("stream.rs", "rebuild_at_epoch", EntryKind::Step),
-    ("stream.rs", "patch_at_epoch", EntryKind::Step),
     // Phase::ShortRange — streaming nonbonded kernel.
     ("stream.rs", "nonbonded_forces_streamed", EntryKind::Step),
     (
@@ -136,12 +135,10 @@ pub const ENTRY_POINTS: &[(&str, &str, EntryKind)] = &[
 /// the steady state — a whole `Engine::step` included — allocation-free
 /// end to end.
 pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
-    // Stream refresh: full rebuild and in-place patch grow plan buffers.
+    // Stream refresh: a rebuild grows list and plan buffers.
     ("stream.rs", "rebuild"),
-    ("stream.rs", "patch"),
     ("stream.rs", "build_plans"),
     ("stream.rs", "rebuild_at_epoch"),
-    ("stream.rs", "patch_at_epoch"),
     // Cell binning allocates the CSR arrays on (re)build.
     ("cells.rs", "build"),
     // Reference neighbor list: built once per co-sim functional check
@@ -292,7 +289,6 @@ pub const COUNTER_FIELDS: &[&str] = &[
     "watchdog_checks",
     "net_retries",
     "net_reroutes",
-    "rows_patched",
     "rows_rebuilt",
     "cell_churn",
     "spread_points",

@@ -778,9 +778,9 @@ mod tests {
     #[test]
     fn alloc_exempt_fn_skips_zero_alloc_but_not_panic() {
         // `rebuild` is ALLOC_EXEMPT for stream.rs but is not an entry point,
-        // so standalone analysis says nothing; `patch_at_epoch` IS an entry
+        // so standalone analysis says nothing; `rebuild_at_epoch` IS an entry
         // point and exempt: allocs pass, panics still flag.
-        let src = "impl S { fn patch_at_epoch(&mut self) { self.v.push(1); self.o.unwrap(); } }";
+        let src = "impl S { fn rebuild_at_epoch(&mut self) { self.v.push(1); self.o.unwrap(); } }";
         let f = analyze_source("crates/md/src/stream.rs", src);
         assert!(f.iter().all(|f| f.rule == Rule::PanicFreedom), "{f:?}");
         assert_eq!(f.len(), 1, "{f:?}");

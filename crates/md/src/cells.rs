@@ -171,16 +171,6 @@ impl CellGrid {
         out[..len].sort_unstable_by_key(|e| e.0);
         len
     }
-
-    /// The smallest cell width over the three axes — the free extra scan
-    /// radius of a shift-based traversal (any range up to one cell width is
-    /// covered by the 27-cell neighborhood).
-    pub fn min_width(&self) -> f64 {
-        let wx = self.pbc.lx / self.nx as f64;
-        let wy = self.pbc.ly / self.ny as f64;
-        let wz = self.pbc.lz / self.nz as f64;
-        wx.min(wy).min(wz)
-    }
 }
 
 /// Wrap a raw cell coordinate onto `[0, n)` and report the box shift the
@@ -307,7 +297,7 @@ mod tests {
         for edge in [30.0, 50.0] {
             let pbc = PbcBox::cubic(edge);
             let g = CellGrid::build(&pbc, &[], 10.0).unwrap();
-            let w = g.min_width();
+            let w = edge / g.nx as f64;
             let point_in = |c: usize, fx: f64, fy: f64, fz: f64| {
                 let cz = c % g.nz;
                 let cy = (c / g.nz) % g.ny;
@@ -346,13 +336,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn min_width_matches_dims() {
-        let pbc = PbcBox::new(30.0, 40.0, 50.0);
-        let g = CellGrid::build(&pbc, &[], 10.0).unwrap();
-        assert_eq!(g.min_width(), 10.0); // 30/3
     }
 
     #[test]

@@ -19,14 +19,14 @@ use crate::pbc::PbcBox;
 use crate::pressure::{bonded_virial, pressure_atm, BerendsenBarostat};
 use crate::settle::{settle_positions, settle_velocities, SettleParams};
 use crate::shard::{ShardGrid, ShardSet, ShardSummary};
-use crate::stream::{nonbonded_forces_streamed_profiled, NonbondedWorkspace, StreamBuild};
+use crate::stream::{nonbonded_forces_streamed_profiled, NonbondedWorkspace};
 use crate::system::System;
 use crate::telemetry::{
     Clock, Counters, MeasuredBreakdownUs, Phase, PhaseBreakdownUs, StepProfile, Telemetry,
     TelemetryLevel,
 };
 use crate::thermostat::{Berendsen, NoseHooverChain};
-use crate::trajectory::{Checkpoint, CHECKPOINT_VERSION, CHECKPOINT_VERSION_SHARDED};
+use crate::trajectory::{Checkpoint, CHECKPOINT_VERSION};
 use crate::units::{fs_to_internal, us_per_day};
 use crate::vec3::Vec3;
 use rand::rngs::StdRng;
@@ -399,14 +399,13 @@ impl EngineBuilder {
     /// positions/velocities are overwritten. The builder's `dt_fs` must
     /// match the checkpoint's.
     ///
-    /// Accepts both version-3 (single-image) and version-4 (sharded)
-    /// checkpoints regardless of this builder's own decomposition: the
-    /// version is sniffed from the payload, version 4 additionally passes
-    /// the per-shard consistency barrier
-    /// ([`crate::trajectory::Checkpoint::validate_shards`]), and any other
-    /// version is rejected with [`EngineError::CheckpointVersion`]. The
-    /// global arrays are authoritative on restore, so a sharded run can
-    /// resume from a single-image checkpoint and vice versa.
+    /// Any version other than [`CHECKPOINT_VERSION`] is rejected with
+    /// [`EngineError::CheckpointVersion`]. Single-image and decomposed
+    /// engines write the same format; shard images, when present, must pass
+    /// the consistency barrier
+    /// ([`crate::trajectory::Checkpoint::validate_shards`]). The global
+    /// arrays are authoritative on restore, so a sharded run can resume
+    /// from a single-image checkpoint and vice versa.
     pub fn resume_from(mut self, cp: Checkpoint) -> Self {
         self.resume = Some(cp);
         self
@@ -816,16 +815,7 @@ impl Engine {
         let shards = self.shards.as_mut().expect("sharded path");
         let tel = &mut self.ws.tel;
         let nbws = &mut self.ws.nonbonded;
-        let t0 = tel.start();
-        if let Some(reason) = nbws.stream.ensure(&self.system) {
-            tel.count_rebuild(reason);
-            let rows = nbws.stream.pos.len() as u64;
-            match nbws.stream.last_build() {
-                StreamBuild::Patched => tel.count_rows(rows, 0, 0),
-                StreamBuild::Fresh { cell_churn } => tel.count_rows(0, rows, cell_churn),
-            }
-        }
-        tel.stop(Phase::NeighborRebuild, t0);
+        nbws.stream.ensure_profiled(&self.system, tel);
 
         shards.sync(&nbws.stream);
         shards.exchange(&nbws.stream, tel);
@@ -1325,19 +1315,15 @@ impl Engine {
         cp.virial_lj = self.virial_lj;
         cp.rng_state = self.rng.state();
         cp.nh_xi = self.nh.as_ref().map(NoseHooverChain::xi);
-        cp.stream_epoch = self.ws.nonbonded.stream().ext_ref_positions().to_vec();
-        if self.ws.nonbonded.stream().last_build() == StreamBuild::Patched {
-            cp.stream_patch_epoch = self.ws.nonbonded.stream().ref_positions().to_vec();
-        }
+        cp.stream_epoch = self.ws.nonbonded.stream().ref_positions().to_vec();
         cp.telemetry = *self.ws.tel.profile();
-        // A decomposed engine writes a version-4 checkpoint: per-shard
-        // state images stamped with the step, acting as the consistency
-        // barrier a distributed implementation would need (all shards
-        // quiesced at the same step before imaging). Per-shard telemetry
-        // profiles are intentionally not checkpointed — the global profile
-        // is authoritative; per-shard counters restart from zero.
+        // A decomposed engine adds per-shard state images stamped with the
+        // step, acting as the consistency barrier a distributed
+        // implementation would need (all shards quiesced at the same step
+        // before imaging). Per-shard telemetry profiles are intentionally
+        // not checkpointed — the global profile is authoritative; per-shard
+        // counters restart from zero.
         if let Some(shards) = &self.shards {
-            cp.version = CHECKPOINT_VERSION_SHARDED;
             cp.shards = shards.images(
                 self.ws.nonbonded.stream(),
                 self.step,
@@ -1351,11 +1337,7 @@ impl Engine {
 
     /// Validate a checkpoint against this engine before touching any state.
     fn validate_checkpoint(&self, cp: &Checkpoint) -> Result<(), EngineError> {
-        // Version sniffing: both the single-image (v3) and sharded (v4)
-        // formats restore through the same path — the global arrays are
-        // authoritative — so either version is accepted regardless of this
-        // engine's own decomposition.
-        if cp.version != CHECKPOINT_VERSION && cp.version != CHECKPOINT_VERSION_SHARDED {
+        if cp.version != CHECKPOINT_VERSION {
             return Err(EngineError::CheckpointVersion {
                 found: cp.version,
                 expected: CHECKPOINT_VERSION,
@@ -1371,42 +1353,50 @@ impl Engine {
         if cp.positions.len() != n || cp.velocities.len() != n {
             return Err(EngineError::CheckpointMismatch("atom count"));
         }
-        let full = !cp.f_short.is_empty() || !cp.f_long.is_empty();
-        if full && (cp.f_short.len() != n || cp.f_long.len() != n) {
+        if cp.f_short.len() != n || cp.f_long.len() != n {
             return Err(EngineError::CheckpointMismatch("force array length"));
         }
-        if full && cp.nh_xi.is_some() != self.nh.is_some() {
+        if cp.nh_xi.is_some() != self.nh.is_some() {
             return Err(EngineError::CheckpointMismatch("thermostat state"));
         }
-        if !cp.stream_epoch.is_empty() && cp.stream_epoch.len() != n {
+        if cp.stream_epoch.len() != n {
             return Err(EngineError::CheckpointMismatch("neighbor epoch length"));
-        }
-        if !cp.stream_patch_epoch.is_empty()
-            && (cp.stream_patch_epoch.len() != n || cp.stream_epoch.is_empty())
-        {
-            return Err(EngineError::CheckpointMismatch("neighbor patch epoch"));
         }
         if cp.dt_fs.to_bits() != self.cfg.dt_fs.to_bits() {
             return Err(EngineError::CheckpointMismatch("dt_fs"));
         }
+        // The digest vouches for integrity, not for sanity: a box edge or
+        // coordinate that parsed but is not a usable number must not reach
+        // the k-space planners or the cell grid.
+        let edges = [cp.pbc.lx, cp.pbc.ly, cp.pbc.lz];
+        if !edges.iter().all(|l| l.is_finite() && *l > 0.0) {
+            return Err(EngineError::CheckpointMismatch("box"));
+        }
+        let state = [
+            &cp.positions,
+            &cp.velocities,
+            &cp.f_short,
+            &cp.f_long,
+            &cp.stream_epoch,
+        ];
+        if !state.into_iter().flatten().all(|v| v.is_finite()) {
+            return Err(EngineError::CheckpointMismatch("non-finite state"));
+        }
         Ok(())
     }
 
-    /// Restore from a checkpoint (same topology and configuration).
+    /// Restore from a checkpoint taken by [`Engine::checkpoint`] (same
+    /// topology and configuration).
     ///
-    /// A full checkpoint from [`Engine::checkpoint`] restores *every* piece
-    /// of dynamic state — including the cached RESPA long forces, which are
-    /// not recomputable at an arbitrary step — so no force evaluation runs
-    /// and the continued trajectory is bitwise identical to the
-    /// uninterrupted one. The neighbor stream is rebuilt from the
-    /// checkpointed epoch positions so later skin-drift rebuild decisions
-    /// replay exactly. A system-only checkpoint from [`Checkpoint::capture`]
-    /// falls back to recomputing forces (exact continuation only when the
-    /// capture sits on a RESPA outer boundary).
+    /// *Every* piece of dynamic state is adopted verbatim — including the
+    /// cached RESPA long forces, which are not recomputable at an arbitrary
+    /// step — so no force evaluation runs and the continued trajectory is
+    /// bitwise identical to the uninterrupted one. The neighbor stream is
+    /// rebuilt from the checkpointed epoch positions so later skin-drift
+    /// rebuild decisions replay exactly.
     pub fn restore(&mut self, cp: &Checkpoint) -> Result<(), EngineError> {
         self.validate_checkpoint(cp)?;
         self.system.pbc = cp.pbc;
-        self.system.positions = cp.positions.clone();
         self.system.velocities = cp.velocities.clone();
         self.step = cp.step;
         // Box-dependent plans: the checkpoint's box may differ from the
@@ -1426,42 +1416,23 @@ impl Engine {
                 1e-10,
             ));
         }
-        if cp.f_short.len() == self.system.n_atoms() {
-            // Full restore: adopt the cached state verbatim.
-            self.f_short = cp.f_short.clone();
-            self.f_long = cp.f_long.clone();
-            self.ledger = cp.ledger;
-            self.virial_lj = cp.virial_lj;
-            self.rng = StdRng::from_state(cp.rng_state);
-            if let (Some(nh), Some(xi)) = (self.nh.as_mut(), cp.nh_xi) {
-                nh.set_xi(xi);
-            }
-            if cp.stream_epoch.is_empty() {
-                self.ws.nonbonded.invalidate();
-            } else {
-                // Rebuild the stream at the checkpointed fresh epoch, re-apply
-                // the latest patch epoch if the interrupted run had patched,
-                // then put the current positions back: the next `ensure()`
-                // re-gathers them without triggering a refresh (drift from the
-                // last refresh epoch is under skin/2 by construction, or the
-                // original run would have refreshed and checkpointed newer
-                // epochs).
-                let now = std::mem::replace(&mut self.system.positions, cp.stream_epoch.clone());
-                self.ws.nonbonded.rebuild_at_epoch(&self.system);
-                if !cp.stream_patch_epoch.is_empty() {
-                    self.system.positions = cp.stream_patch_epoch.clone();
-                    self.ws.nonbonded.patch_at_epoch(&self.system);
-                }
-                self.system.positions = now;
-            }
-            self.ws.tel.restore_profile(cp.telemetry);
-        } else {
-            // System-only checkpoint: recompute everything derivable.
-            self.ws.nonbonded.invalidate();
-            self.compute_short_forces();
-            self.compute_long_forces();
-            self.ledger.kinetic = self.system.kinetic_energy();
+        self.f_short = cp.f_short.clone();
+        self.f_long = cp.f_long.clone();
+        self.ledger = cp.ledger;
+        self.virial_lj = cp.virial_lj;
+        self.rng = StdRng::from_state(cp.rng_state);
+        if let (Some(nh), Some(xi)) = (self.nh.as_mut(), cp.nh_xi) {
+            nh.set_xi(xi);
         }
+        // Rebuild the stream at the checkpointed epoch, then put the current
+        // positions in: the next `ensure()` re-gathers them without
+        // triggering a rebuild (drift from the epoch is under skin/2 by
+        // construction, or the original run would have rebuilt and
+        // checkpointed a newer epoch).
+        self.system.positions.clone_from(&cp.stream_epoch);
+        self.ws.nonbonded.rebuild_at_epoch(&self.system);
+        self.system.positions.clone_from(&cp.positions);
+        self.ws.tel.restore_profile(cp.telemetry);
         self.watchdog_e0 = None;
         Ok(())
     }

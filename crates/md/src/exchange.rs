@@ -15,8 +15,7 @@
 //! The exchange is bookkeeping, not physics: it copies bits, so it cannot
 //! perturb the bitwise identity between the decomposed and single-image
 //! engines. The import *plan* (who needs which slots) is built once per
-//! fresh stream rebuild in `shard.rs`; this module only moves positions
-//! along it.
+//! stream rebuild in `shard.rs`; this module only moves positions along it.
 
 use crate::shard::ShardSet;
 use crate::stream::NonbondedStream;

@@ -86,9 +86,7 @@ pub mod prelude {
         Counters, MeasuredBreakdownUs, PhaseBreakdownUs, StepProfile, Telemetry, TelemetryLevel,
     };
     pub use crate::topology::Topology;
-    pub use crate::trajectory::{
-        Checkpoint, ShardImage, CHECKPOINT_VERSION, CHECKPOINT_VERSION_SHARDED,
-    };
+    pub use crate::trajectory::{Checkpoint, ShardImage, CHECKPOINT_VERSION};
     pub use crate::vec3::{v3, Vec3};
 }
 

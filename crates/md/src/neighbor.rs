@@ -10,12 +10,11 @@
 //! so the list is a pure function of its inputs.
 //!
 //! It deliberately shares no algorithm with [`crate::stream`], which owns
-//! everything a running engine needs (cell-major permutation, extended
-//! list, verify-and-patch, exclusion baking, rebuild triggers): no wrapped
-//! snapshot, no shift-based minimum image, no margin, no exclusions, no
-//! in-place update. `pairkernel::nonbonded_forces` and
-//! `pairkernel::count_interactions` walk it in tests and in the co-sim's
-//! functional checks.
+//! everything a running engine needs (cell-major permutation, exclusion
+//! baking, rebuild triggers): no wrapped snapshot, no shift-based minimum
+//! image, no exclusions, no reuse across steps.
+//! `pairkernel::nonbonded_forces` and `pairkernel::count_interactions` walk
+//! it in tests and in the co-sim's functional checks.
 
 use crate::cells::CellGrid;
 use crate::pbc::PbcBox;

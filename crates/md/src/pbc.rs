@@ -103,10 +103,8 @@ impl PbcBox {
 /// the three divisions of [`PbcBox::min_image`]. Differs from the `round()`
 /// form only at `|d| = L/2` exactly, which lies beyond any valid cutoff.
 ///
-/// Shared by the streaming kernel (`stream.rs`) and the extended-list
-/// filter (`neighbor.rs`): both must fold displacements with *identical*
-/// arithmetic so the verify-and-patch rebuild is bitwise equal to a fresh
-/// build.
+/// Used by the streaming kernel and by the all-pairs fallback of the list
+/// build (`stream.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct HalfBox {
     lx: f64,

@@ -11,9 +11,9 @@
 //!   the shard's region; each working-list row is evaluated by exactly the
 //!   shard that owns it;
 //! * an **import region** — the deduplicated set of slots appearing as
-//!   partners in the shard's extended rows but owned elsewhere (the
-//!   half-shell traversal of the stream build means this *is* the NT
-//!   import region, restricted to actual candidates);
+//!   partners in the shard's rows but owned elsewhere (the half-shell
+//!   traversal of the stream build means this *is* the NT import region at
+//!   `cutoff + skin`, restricted to actual candidates);
 //! * a **shard-local SoA mirror** of positions/charges/LJ types, poisoned
 //!   with NaN / `u32::MAX` outside `owned ∪ imports` so a read outside the
 //!   planned import region corrupts the pair (caught by `debug_assert!`
@@ -151,8 +151,8 @@ pub(crate) struct Shard {
     /// working-list rows the shard evaluates.
     pub(crate) owned: Vec<u32>,
     /// Sorted stream slots this shard reads but does not own (partners of
-    /// its extended rows owned elsewhere), deduplicated, in first-seen
-    /// order. Refreshed from the driver every step by the exchange.
+    /// its rows owned elsewhere), deduplicated, in first-seen order.
+    /// Refreshed from the driver every step by the exchange.
     pub(crate) imports: Vec<u32>,
     /// How many of this shard's owned positions other shards import each
     /// step (the export side of the exchange traffic).
@@ -188,8 +188,8 @@ pub struct ShardSummary {
 }
 
 /// The decomposition: all shards plus the global record/replay buffers and
-/// the stream-revision bookkeeping that keeps the plans in sync with
-/// rebuilds and patches.
+/// the stream-revision bookkeeping that keeps the plans in sync with list
+/// rebuilds.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     grid: ShardGrid,
@@ -206,9 +206,8 @@ pub(crate) struct ShardSet {
     /// Generation-stamped dedup scratch for import planning.
     stamp: Vec<u64>,
     stamp_gen: u64,
-    /// Stream revisions the current plans were built against.
+    /// Stream revision the current plans were built against.
     seen_revision: u64,
-    seen_fresh: u64,
 }
 
 impl ShardSet {
@@ -237,7 +236,6 @@ impl ShardSet {
             stamp: Vec::new(),
             stamp_gen: 0,
             seen_revision: 0,
-            seen_fresh: 0,
         }
     }
 
@@ -246,24 +244,17 @@ impl ShardSet {
         self.shards.len()
     }
 
-    /// Bring the plans up to date with the stream: a fresh rebuild (new
-    /// permutation / cells) re-plans ownership and import regions; a patch
-    /// (same permutation, re-filtered working list) only re-sizes the
-    /// record buffers, because ownership is a function of the fresh-build
-    /// cell assignment.
+    /// Bring the plans up to date with the stream: a list rebuild (new
+    /// permutation, cells and rows) re-plans everything.
     pub(crate) fn sync(&mut self, stream: &NonbondedStream) {
-        if self.seen_fresh != stream.fresh_revision {
+        if self.seen_revision != stream.revision {
             self.plan(stream);
-            self.seen_fresh = stream.fresh_revision;
-            self.seen_revision = stream.revision;
-        } else if self.seen_revision != stream.revision {
-            self.size_record_buffers(stream);
             self.seen_revision = stream.revision;
         }
     }
 
-    /// Rebuild ownership, import regions, and local mirrors from a fresh
-    /// stream build. Runs at rebuild cadence, not per step.
+    /// Rebuild ownership, import regions, local mirrors and record buffers
+    /// from a stream rebuild. Runs at rebuild cadence, not per step.
     fn plan(&mut self, stream: &NonbondedStream) {
         let ns = stream.pos.len();
         self.shard_of_slot.resize(ns, 0);
@@ -305,16 +296,14 @@ impl ShardSet {
                 .owned
                 .push(s as u32);
         }
-        // Import region = partners of owned *extended* rows owned
-        // elsewhere. Using the extended list (not the working list) makes
-        // the region a superset of anything a patch can re-admit, so
-        // import plans survive patches untouched.
+        // Import region = partners of owned rows owned elsewhere: exactly
+        // the slots the row evaluator will read, the `cutoff + skin` halo.
         for shard in &mut self.shards {
             self.stamp_gen += 1;
             let gen = self.stamp_gen;
             for &s in &shard.owned {
                 let s = s as usize;
-                for &t in &stream.ext_partners[stream.ext_start[s]..stream.ext_start[s + 1]] {
+                for &t in &stream.partners[stream.start[s]..stream.start[s + 1]] {
                     let t = t as usize;
                     if self.shard_of_slot[t] != shard.id && self.stamp[t] != gen {
                         self.stamp[t] = gen;
@@ -347,13 +336,6 @@ impl ShardSet {
                 self.shards[owner].exported += 1;
             }
         }
-        self.size_record_buffers(stream);
-    }
-
-    /// Re-size the record buffers to the current working list (its length
-    /// changes when a patch re-filters the extended rows).
-    fn size_record_buffers(&mut self, stream: &NonbondedStream) {
-        let ns = stream.pos.len();
         self.pair_records
             .resize(stream.partners.len(), PairRecord::default());
         self.row_pairs.resize(ns, 0);
@@ -506,7 +488,7 @@ impl ShardSet {
             .collect()
     }
 
-    /// Capture per-shard state images for a version-4 checkpoint: each
+    /// Capture per-shard state images for a checkpoint: each
     /// shard's owned atoms as global indices (through the stream's
     /// cell-sort permutation) with their positions and velocities, all
     /// stamped with `step`. The restore-side consistency barrier

@@ -9,24 +9,21 @@
 //! * atoms permuted into **cell-major order** (the cell grid's own ordering)
 //!   so the inner loop walks nearly-contiguous memory;
 //! * positions/charges/LJ types gathered into SoA arrays in that order;
-//! * an **extended** half neighbor list built directly in sorted index space
-//!   at the free cell-width radius (`range_ext = min cell width ≥ range`),
-//!   with the topology's exclusions baked out, so the force loop never calls
-//!   `is_excluded`;
-//! * the **working** list — the extended rows re-filtered to `range` against
-//!   the current wrapped positions — plus per-chunk scatter plans mapping
-//!   each partner to a slot in a chunk-local force buffer;
+//! * one half neighbor list built directly in sorted index space at
+//!   `range = cutoff + skin`, with the topology's exclusions baked out, so
+//!   the force loop never calls `is_excluded`, plus per-chunk scatter plans
+//!   mapping each partner to a slot in a chunk-local force buffer;
 //! * per-pair LJ parameters and cutoff shifts resolved through a
 //!   [`PairTable`] row lookup instead of `ForceField::lj` + `lj_shift_at`.
 //!
+//! The list has one radius and one epoch — the positions it was built at.
 //! Between rebuilds only the positions are re-gathered (wrapped into the
 //! primary cell, so the kernel can use a branch-based minimum image with no
-//! divisions). When an atom drifts past skin/2 but every atom is still
-//! within half the extended margin `(range_ext − range)/2` of the build
-//! epoch, the stream is **patched**: the working list is re-filtered from
-//! the extended list in place — no cell rescan, no re-permutation. Only
-//! when the margin is exhausted (or the box changes) does a full rebuild
-//! run.
+//! divisions); once any atom has drifted more than `skin/2` from the epoch,
+//! or the box changes, the stream is rebuilt from scratch. The HTIS itself
+//! keeps no list at all (its match units regenerate the candidate stream
+//! from the spatial decomposition every step), so build-and-reuse is the
+//! only refresh mechanism the CPU stand-in needs (DESIGN.md §14).
 //!
 //! [`nonbonded_forces_streamed`] evaluates the stream either serially or
 //! with the fixed-chunk deterministic reduction contract from DESIGN.md §9.
@@ -57,14 +54,6 @@ use rayon::prelude::*;
 /// Fixed chunk count for the small-box all-pairs fallback stream build.
 const FALLBACK_CHUNKS: usize = 16;
 
-/// Guard subtracted from the patch drift budget `(range_ext − range)/2`.
-/// The budget argument is a triangle inequality between the extended-list
-/// scan metric (cell-shift form on wrapped coordinates) and the drift
-/// metric (`PbcBox::dist_sq` on raw positions); the guard absorbs their
-/// ulp-level disagreement so a patched list can never miss a pair a fresh
-/// build at `range` would find.
-const MARGIN_GUARD: f64 = 1e-9;
-
 /// Why the stream had to be refreshed. Threaded out to the telemetry
 /// counters so skin-triggered and box-triggered rebuilds are
 /// distinguishable — a barostat run that rebuilds every coupling period
@@ -82,19 +71,6 @@ pub enum RebuildReason {
     Invalidated,
 }
 
-/// How the current working list was produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamBuild {
-    /// Full rebuild: new permutation, cell rescan at `range_ext`, fresh
-    /// extended list. `cell_churn` counts atoms whose cell assignment
-    /// changed since the previous fresh build (0 on a first build or after
-    /// a fallback build).
-    Fresh { cell_churn: u64 },
-    /// In-place patch: the working list was re-filtered from the retained
-    /// extended list; permutation and extended list untouched.
-    Patched,
-}
-
 /// Per-cell build scratch: the concatenated partner stream of the cell's
 /// atoms plus one partner count per atom. Reused across rebuilds.
 #[derive(Clone, Debug, Default)]
@@ -104,7 +80,7 @@ struct CellScratch {
 }
 
 /// The prepared input stream of the range-limited kernel: cell-sorted SoA
-/// atom data plus exclusion-free half neighbor lists in sorted index
+/// atom data plus an exclusion-free half neighbor list in sorted index
 /// space. See the module docs for the full contract.
 #[derive(Clone, Debug)]
 pub struct NonbondedStream {
@@ -116,41 +92,30 @@ pub struct NonbondedStream {
     pub(crate) charge: Vec<f64>,
     /// LJ type indices in sorted order (static between rebuilds).
     pub(crate) lj_type: Vec<u32>,
-    /// Working-list CSR row starts in sorted space, length `n + 1`.
+    /// CSR row starts in sorted space, length `n + 1`.
     pub(crate) start: Vec<usize>,
-    /// Working-list partners in sorted space; every partner has a higher
-    /// sorted index than its row, rows are strictly ascending, exclusions
-    /// are baked out. Re-filtered from the extended list on each patch.
+    /// Partners in sorted space, within `range` of their row at the epoch;
+    /// every partner has a higher sorted index than its row, rows are
+    /// strictly ascending, exclusions are baked out.
     pub(crate) partners: Vec<u32>,
-    /// Extended-list CSR row starts (radius `range_ext`), length `n + 1`.
-    pub(crate) ext_start: Vec<usize>,
-    /// Extended-list partners; superset of `partners` row by row.
-    pub(crate) ext_partners: Vec<u32>,
-    /// Original-order positions at the last *filter* epoch (skin/2 drift
-    /// criterion for the working list).
+    /// Original-order positions the list was built at — the epoch the
+    /// skin/2 drift criterion measures from.
     ref_positions: Vec<Vec3>,
-    /// Original-order positions at the last *fresh build* epoch (patch
-    /// drift budget for the extended list).
-    ext_ref_positions: Vec<Vec3>,
-    /// Cell id per atom in original order as of the last fresh cell build;
-    /// empty after a fallback build. Feeds the cell-churn counter.
+    /// Cell id per atom in original order as of the last cell build; empty
+    /// after a fallback build. Feeds the cell-churn counter.
     pub(crate) cell_ids: Vec<u32>,
     /// Box the stream was built for; a box change forces a rebuild.
     pub(crate) pbc: PbcBox,
-    /// Working-list range (cutoff + skin) at build time.
+    /// List range (cutoff + skin) at build time.
     range: f64,
-    /// Extended-list range: the minimum cell width (≥ `range`) on the cell
-    /// path, `range` (no margin, never patched) on the fallback path.
-    range_ext: f64,
     skin: f64,
     built: bool,
     /// Set by [`NonbondedStream::invalidate`]; distinguishes an explicit
     /// invalidation from a cold first build in the rebuild-reason counter.
     invalidated: bool,
-    last_build: StreamBuild,
-    /// Chunk-local slot of each working-list partner (parallel to
-    /// `partners`): row chunk `[lo, hi)` maps partner `t < hi` to `t − lo`
-    /// and imported partner `t ≥ hi` to `(hi − lo) + import index`.
+    /// Chunk-local slot of each partner (parallel to `partners`): row chunk
+    /// `[lo, hi)` maps partner `t < hi` to `t − lo` and imported partner
+    /// `t ≥ hi` to `(hi − lo) + import index`.
     pub(crate) partners_local: Vec<u32>,
     /// Deduplicated imported partners (sorted indices) per chunk,
     /// concatenated; spans delimited by `import_start`.
@@ -162,15 +127,12 @@ pub struct NonbondedStream {
     slot_of: Vec<u32>,
     stamp_gen: u64,
     scratch: Vec<CellScratch>,
-    /// Bumped on every working-list change (fresh rebuild *or* patch). The
-    /// shard layer watches this to know its per-row ownership/record plans
-    /// are stale.
+    /// Bumped on every rebuild (new permutation, cells and list). The shard
+    /// layer watches this to know its ownership/import/record plans are
+    /// stale.
     pub(crate) revision: u64,
-    /// Bumped on fresh rebuilds only (new permutation / cell assignment);
-    /// patches keep the permutation, so shard ownership plans survive them.
-    pub(crate) fresh_revision: u64,
-    /// Cell-grid dimensions of the last fresh build, `None` when the
-    /// all-pairs fallback ran (no spatial structure to decompose over).
+    /// Cell-grid dimensions of the last build, `None` when the all-pairs
+    /// fallback ran (no spatial structure to decompose over).
     pub(crate) cell_dims: Option<(usize, usize, usize)>,
 }
 
@@ -183,18 +145,13 @@ impl NonbondedStream {
             lj_type: Vec::new(),
             start: Vec::new(),
             partners: Vec::new(),
-            ext_start: Vec::new(),
-            ext_partners: Vec::new(),
             ref_positions: Vec::new(),
-            ext_ref_positions: Vec::new(),
             cell_ids: Vec::new(),
             pbc: PbcBox::cubic(1.0),
             range: 0.0,
-            range_ext: 0.0,
             skin: 0.0,
             built: false,
             invalidated: false,
-            last_build: StreamBuild::Fresh { cell_churn: 0 },
             partners_local: Vec::new(),
             imports: Vec::new(),
             import_start: Vec::new(),
@@ -203,24 +160,23 @@ impl NonbondedStream {
             stamp_gen: 0,
             scratch: Vec::new(),
             revision: 0,
-            fresh_revision: 0,
             cell_dims: None,
         }
     }
 
-    /// Number of stored (unordered, non-excluded) working candidate pairs.
+    /// Number of stored (unordered, non-excluded) candidate pairs.
     pub fn n_pairs(&self) -> usize {
         self.partners.len()
     }
 
-    /// Number of extended-list pairs (radius `range_ext`).
-    pub fn n_ext_pairs(&self) -> usize {
-        self.ext_partners.len()
-    }
-
-    /// How the current working list was produced.
-    pub fn last_build(&self) -> StreamBuild {
-        self.last_build
+    /// The stored pairs as original atom indices, row by row (inspection /
+    /// tests).
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.pos.len()).flat_map(move |s| {
+            self.partners[self.start[s]..self.start[s + 1]]
+                .iter()
+                .map(move |&t| (self.order[s], self.order[t as usize]))
+        })
     }
 
     /// Force a full rebuild on the next evaluation (box-dependent state was
@@ -230,19 +186,12 @@ impl NonbondedStream {
         self.invalidated = true;
     }
 
-    /// The original-order positions the working list was last filtered at —
-    /// the *patch* epoch. Equal to [`NonbondedStream::ext_ref_positions`]
-    /// right after a fresh build. Empty before first build.
+    /// The original-order positions the list was built at — the
+    /// neighbor-list *epoch*. Checkpoints capture these so a resumed run
+    /// can rebuild the identical permutation and list (see
+    /// [`NonbondedWorkspace::rebuild_at_epoch`]). Empty before first build.
     pub fn ref_positions(&self) -> &[Vec3] {
         &self.ref_positions
-    }
-
-    /// The original-order positions of the last fresh build — the
-    /// neighbor-list *epoch*. Checkpoints capture these so a resumed run
-    /// can rebuild the identical permutation and extended list (see
-    /// [`NonbondedWorkspace::rebuild_at_epoch`]). Empty before first build.
-    pub fn ext_ref_positions(&self) -> &[Vec3] {
-        &self.ext_ref_positions
     }
 
     /// The stream's own per-slot atom data, as the row evaluator reads it.
@@ -280,19 +229,27 @@ impl NonbondedStream {
     }
 
     /// Bring the stream up to date for `system`: re-gather wrapped
-    /// positions; on skin drift patch the working list in place when the
-    /// extended margin still covers every atom, otherwise rebuild in full.
-    /// Returns the refresh trigger if a patch or rebuild happened.
-    pub(crate) fn ensure(&mut self, system: &System) -> Option<RebuildReason> {
-        let stale = self.staleness(system);
-        match stale {
-            None => self.gather_positions(&system.positions),
-            Some(RebuildReason::SkinExceeded) if self.can_patch(&system.pbc, &system.positions) => {
-                self.patch(system)
+    /// positions while the list is current, rebuild it when it is stale.
+    /// Returns the trigger and the rebuild's cell churn if one ran.
+    pub(crate) fn ensure(&mut self, system: &System) -> Option<(RebuildReason, u64)> {
+        match self.staleness(system) {
+            None => {
+                self.gather_positions(&system.positions);
+                None
             }
-            Some(_) => self.rebuild(system),
+            Some(reason) => Some((reason, self.rebuild(system))),
         }
-        stale
+    }
+
+    /// [`NonbondedStream::ensure`] timed as [`Phase::NeighborRebuild`], with
+    /// a rebuild counted by trigger reason, rows and cell churn.
+    pub(crate) fn ensure_profiled(&mut self, system: &System, tel: &mut Telemetry) {
+        let t0 = tel.start();
+        if let Some((reason, cell_churn)) = self.ensure(system) {
+            tel.count_rebuild(reason);
+            tel.count_rows(self.pos.len() as u64, cell_churn);
+        }
+        tel.stop(Phase::NeighborRebuild, t0);
     }
 
     fn needs_rebuild(&self, pbc: &PbcBox, positions: &[Vec3]) -> bool {
@@ -303,23 +260,8 @@ impl NonbondedStream {
             .any(|(&p, &r)| pbc.dist_sq(p, r) > limit_sq)
     }
 
-    /// Whether every atom is still within half the extended-list margin of
-    /// the fresh-build epoch, so the retained extended list is guaranteed
-    /// to contain every pair within `range` of the current positions.
-    fn can_patch(&self, pbc: &PbcBox, positions: &[Vec3]) -> bool {
-        let limit = 0.5 * (self.range_ext - self.range) - MARGIN_GUARD;
-        if limit <= 0.0 {
-            return false;
-        }
-        let limit_sq = limit * limit;
-        positions
-            .iter()
-            .zip(&self.ext_ref_positions)
-            .all(|(&p, &r)| pbc.dist_sq(p, r) <= limit_sq)
-    }
-
     /// Re-gather wrapped positions in sorted order (the only per-step work
-    /// between refreshes).
+    /// between rebuilds).
     fn gather_positions(&mut self, positions: &[Vec3]) {
         let pbc = self.pbc;
         for (ps, &o) in self.pos.iter_mut().zip(&self.order) {
@@ -327,24 +269,12 @@ impl NonbondedStream {
         }
     }
 
-    /// In-place patch: re-filter the working list from the retained
-    /// extended list at the current positions and refresh the scatter
-    /// plans. No cell rescan, no re-permutation, no allocation beyond
-    /// plan-buffer growth.
-    fn patch(&mut self, system: &System) {
-        self.gather_positions(&system.positions);
-        self.filter_ext();
-        self.build_plans();
-        self.ref_positions.clear();
-        self.ref_positions.extend_from_slice(&system.positions);
-        self.last_build = StreamBuild::Patched;
-        self.revision += 1;
-    }
-
-    /// Full rebuild: new permutation, gathered SoA arrays, extended half
-    /// list at `range_ext` in sorted space, working list filtered to
-    /// `range`, and fresh scatter plans. Reuses all buffers.
-    fn rebuild(&mut self, system: &System) {
+    /// Full rebuild: new permutation, gathered SoA arrays, the half list at
+    /// `range` in sorted space, and fresh scatter plans. Reuses all
+    /// buffers. Returns the cell churn: atoms whose cell assignment changed
+    /// since the previous build (0 on a first build or next to a fallback
+    /// build).
+    fn rebuild(&mut self, system: &System) -> u64 {
         let pbc = system.pbc;
         let positions = &system.positions;
         let top = &system.topology;
@@ -356,8 +286,6 @@ impl NonbondedStream {
         self.invalidated = false;
         self.ref_positions.clear();
         self.ref_positions.extend_from_slice(positions);
-        self.ext_ref_positions.clear();
-        self.ext_ref_positions.extend_from_slice(positions);
 
         self.order.clear();
         let grid = CellGrid::build(&pbc, positions, self.range);
@@ -365,11 +293,7 @@ impl NonbondedStream {
             Some(g) => self.order.extend_from_slice(&g.atoms),
             None => self.order.extend(0..n as u32),
         }
-        // The cell scan covers any radius up to one cell width for free
-        // (same 27-cell neighborhood), so the extended list costs no extra
-        // candidate volume.
-        self.range_ext = grid.as_ref().map_or(self.range, |g| g.min_width());
-        let ext_sq = self.range_ext * self.range_ext;
+        let range_sq = self.range * self.range;
 
         // Gather the SoA stream in sorted order.
         self.pos.clear();
@@ -391,9 +315,11 @@ impl NonbondedStream {
             // c2 > c means every partner index t exceeds the row index s
             // (cell spans are ascending in cell id), so rows come out
             // strictly ascending with no sort step. Displacements use the
-            // cell-adjacency shift (no divisions, no rounding); within one
-            // cell width this is the minimum image and agrees bitwise with
-            // the `HalfBox` fold used by `filter_ext` and the kernel.
+            // cell-adjacency shift (no divisions, no rounding); a cell is at
+            // least `range` and at most a third of the box wide, so for
+            // every pair this test admits the shifted displacement is the
+            // minimum image and agrees bitwise with the `HalfBox` fold the
+            // kernel applies to the same wrapped positions.
             let ncells = grid.n_cells();
             if self.scratch.len() < ncells {
                 self.scratch.resize_with(ncells, CellScratch::default);
@@ -414,14 +340,15 @@ impl NonbondedStream {
                         let before = sc.partners.len();
                         for t in (s + 1)..hi {
                             let d = ps - pos[t];
-                            if d.norm_sq() < ext_sq && !excl.is_excluded(oi, order[t] as usize) {
+                            if d.norm_sq() < range_sq && !excl.is_excluded(oi, order[t] as usize) {
                                 sc.partners.push(t as u32);
                             }
                         }
                         for &(c2, shift) in &fwd[..flen] {
                             for t in grid.cell_start[c2]..grid.cell_start[c2 + 1] {
                                 let d = (ps - pos[t]) - shift;
-                                if d.norm_sq() < ext_sq && !excl.is_excluded(oi, order[t] as usize)
+                                if d.norm_sq() < range_sq
+                                    && !excl.is_excluded(oi, order[t] as usize)
                                 {
                                     sc.partners.push(t as u32);
                                 }
@@ -431,7 +358,7 @@ impl NonbondedStream {
                     }
                 });
             // Cell-churn accounting: how many atoms changed cell since the
-            // previous fresh build (incomparable grids just reset to 0).
+            // previous build (incomparable grids just reset to 0).
             let mut churn = 0u64;
             let track = self.cell_ids.len() == n;
             if !track {
@@ -451,7 +378,7 @@ impl NonbondedStream {
             (ncells, churn)
         } else {
             // Small box: all-pairs scan in fixed chunks over (sorted =
-            // original) atom order. No margin, so patches never apply.
+            // original) atom order.
             if self.scratch.len() < FALLBACK_CHUNKS {
                 self.scratch
                     .resize_with(FALLBACK_CHUNKS, CellScratch::default);
@@ -468,7 +395,8 @@ impl NonbondedStream {
                         let ps = pos[s];
                         let before = sc.partners.len();
                         for (t, &pt) in pos.iter().enumerate().skip(s + 1) {
-                            if hb.min_image(ps - pt).norm_sq() < ext_sq && !excl.is_excluded(s, t) {
+                            if hb.min_image(ps - pt).norm_sq() < range_sq && !excl.is_excluded(s, t)
+                            {
                                 sc.partners.push(t as u32);
                             }
                         }
@@ -479,60 +407,30 @@ impl NonbondedStream {
             (FALLBACK_CHUNKS, 0)
         };
 
-        // Concatenate the per-cell streams into the extended CSR. Cells
-        // ascending and atoms within a cell in span order give exactly
-        // sorted atom order.
-        self.ext_start.clear();
-        self.ext_start.reserve(n + 1);
-        self.ext_start.push(0);
+        // Concatenate the per-cell streams into the CSR. Cells ascending
+        // and atoms within a cell in span order give exactly sorted atom
+        // order.
+        self.start.clear();
+        self.start.reserve(n + 1);
+        self.start.push(0);
         let mut total = 0usize;
         for sc in &self.scratch[..n_lists] {
             for &cnt in &sc.counts {
                 total += cnt as usize;
-                self.ext_start.push(total);
+                self.start.push(total);
             }
         }
-        debug_assert_eq!(self.ext_start.len(), n + 1);
-        self.ext_partners.clear();
-        self.ext_partners.reserve(total);
+        debug_assert_eq!(self.start.len(), n + 1);
+        self.partners.clear();
+        self.partners.reserve(total);
         for sc in &self.scratch[..n_lists] {
-            self.ext_partners.extend_from_slice(&sc.partners);
+            self.partners.extend_from_slice(&sc.partners);
         }
 
         self.cell_dims = grid.as_ref().map(|g| (g.nx, g.ny, g.nz));
-        self.filter_ext();
         self.build_plans();
-        self.last_build = StreamBuild::Fresh { cell_churn };
         self.revision += 1;
-        self.fresh_revision += 1;
-    }
-
-    /// Derive the working list from the extended list: keep exactly the
-    /// pairs within `range` of the current wrapped positions. Shared by
-    /// fresh builds and patches — both paths run this identical filter over
-    /// identical extended rows, which is what makes a patched list bitwise
-    /// equal to what a fresh filter at the same positions would produce.
-    /// Push-free: writes through a cursor into pre-sized buffers.
-    fn filter_ext(&mut self) {
-        let hb = HalfBox::new(&self.pbc);
-        let range_sq = self.range * self.range;
-        let n = self.pos.len();
-        self.start.resize(n + 1, 0);
-        self.partners.resize(self.ext_partners.len(), 0);
-        let mut w = 0usize;
-        self.start[0] = 0;
-        for s in 0..n {
-            let ps = self.pos[s];
-            for &t in &self.ext_partners[self.ext_start[s]..self.ext_start[s + 1]] {
-                let d = hb.min_image(ps - self.pos[t as usize]);
-                if d.norm_sq() < range_sq {
-                    self.partners[w] = t;
-                    w += 1;
-                }
-            }
-            self.start[s + 1] = w;
-        }
-        self.partners.truncate(w);
+        cell_churn
     }
 
     /// Build the chunk-local scatter plans for the parallel path: for each
@@ -609,23 +507,12 @@ impl NonbondedWorkspace {
     /// Rebuild the stream as of a checkpointed neighbor-list epoch:
     /// `system` must carry the epoch's reference positions (not the
     /// current ones). Reproduces the interrupted run's cell permutation and
-    /// extended list bit-for-bit, so the drift triggers and pair order
-    /// evolve identically after resume. Deliberately not routed through
-    /// telemetry — the original build was already counted in the
-    /// checkpointed profile.
+    /// list bit-for-bit, so the drift trigger and pair order evolve
+    /// identically after resume. Deliberately not routed through telemetry
+    /// — the original build was already counted in the checkpointed
+    /// profile.
     pub fn rebuild_at_epoch(&mut self, system: &System) {
         self.stream.rebuild(system);
-    }
-
-    /// Re-apply a checkpointed patch epoch on top of
-    /// [`NonbondedWorkspace::rebuild_at_epoch`]: `system` must carry the
-    /// positions the interrupted run last patched at. Because a patch is a
-    /// pure function of the fresh-build state and the patch positions, one
-    /// fresh epoch plus the latest patch epoch reproduce the stream
-    /// bit-for-bit no matter how many patches ran in between. Not routed
-    /// through telemetry for the same reason as `rebuild_at_epoch`.
-    pub fn patch_at_epoch(&mut self, system: &System) {
-        self.stream.patch(system);
     }
 }
 
@@ -889,9 +776,9 @@ pub fn nonbonded_forces_streamed(
 }
 
 /// [`nonbonded_forces_streamed`] with step-phase telemetry: stream
-/// refreshes are timed as [`Phase::NeighborRebuild`], counted by trigger
-/// reason, and broken down at row granularity (rows patched vs rebuilt,
-/// plus cell churn); pair evaluation is timed as [`Phase::ShortRange`] and
+/// rebuilds are timed as [`Phase::NeighborRebuild`], counted by trigger
+/// reason, and sized at row granularity (rows rebuilt plus cell churn);
+/// pair evaluation is timed as [`Phase::ShortRange`] and
 /// the pairs-evaluated/pairs-cut counters are recorded. With telemetry off
 /// this is exactly the plain kernel (no clock reads, no allocation).
 pub fn nonbonded_forces_streamed_profiled(
@@ -902,16 +789,7 @@ pub fn nonbonded_forces_streamed_profiled(
     parallel: bool,
     tel: &mut Telemetry,
 ) -> NonbondedEnergy {
-    let t0 = tel.start();
-    if let Some(reason) = ws.stream.ensure(system) {
-        tel.count_rebuild(reason);
-        let rows = ws.stream.pos.len() as u64;
-        match ws.stream.last_build {
-            StreamBuild::Patched => tel.count_rows(rows, 0, 0),
-            StreamBuild::Fresh { cell_churn } => tel.count_rows(0, rows, cell_churn),
-        }
-    }
-    tel.stop(Phase::NeighborRebuild, t0);
+    ws.stream.ensure_profiled(system, tel);
 
     let t0 = tel.start();
     let stream = &ws.stream;
@@ -1289,10 +1167,6 @@ mod tests {
             let e = nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, parallel);
             assert_close(&fr, er, &f, e);
         }
-        assert!(
-            ws.stream().n_ext_pairs() > ws.stream().n_pairs(),
-            "extended list must carry a margin on the cell path"
-        );
     }
 
     #[test]
@@ -1341,29 +1215,25 @@ mod tests {
         let (fr, er) = reference(&s);
         assert_close(&fr, er, &f, e);
 
-        // Past skin/2 the rebuild criterion fires (fallback box: no margin,
-        // so this is a full rebuild, never a patch).
+        // Past skin/2 the rebuild criterion fires.
+        assert_eq!(ws.stream.revision, 1);
         for p in &mut s.positions {
             p.x += 0.4;
         }
         let mut f = vec![Vec3::ZERO; s.n_atoms()];
         let e = nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, false);
-        assert!(matches!(
-            ws.stream().last_build(),
-            StreamBuild::Fresh { .. }
-        ));
+        assert_eq!(ws.stream.revision, 2, "list must rebuild");
         let (fr, er) = reference(&s);
         assert_close(&fr, er, &f, e);
     }
 
     #[test]
-    fn stream_patches_when_drift_within_margin() {
+    fn stream_rebuilds_when_drift_exceeds_half_skin_on_cell_path() {
         use crate::telemetry::TelemetryLevel;
-        // 37.2 Å box with range 10 → 3 cells of width 12.4 Å per axis: the
-        // extended list carries a 2.4 Å margin, so a 0.6 Å drift (past
-        // skin/2 = 0.5 but inside the 1.2 Å patch budget) re-filters the
-        // working list in place instead of rescanning cells. Run serial
-        // and parallel and require bitwise-identical telemetry.
+        // 37.2 Å box with range 10 → 3 cells of width 12.4 Å per axis. A
+        // 0.6 Å rigid drift is past skin/2 = 0.5, so the second evaluation
+        // rebuilds the list from a new cell scan. Run serial and parallel
+        // and require bitwise-identical telemetry.
         let run = |parallel: bool| {
             let mut s = water_box(12, 12, 12, 23);
             let table = s.pair_table();
@@ -1371,69 +1241,62 @@ mod tests {
             let mut tel = Telemetry::new(TelemetryLevel::Counters);
             let mut f = vec![Vec3::ZERO; s.n_atoms()];
             nonbonded_forces_streamed_profiled(&s, &table, &mut ws, &mut f, parallel, &mut tel);
-            assert!(matches!(
-                ws.stream().last_build(),
-                StreamBuild::Fresh { .. }
-            ));
             for p in &mut s.positions {
                 p.x += 0.6;
             }
             let mut f = vec![Vec3::ZERO; s.n_atoms()];
             let e =
                 nonbonded_forces_streamed_profiled(&s, &table, &mut ws, &mut f, parallel, &mut tel);
-            assert_eq!(ws.stream().last_build(), StreamBuild::Patched);
+            assert_eq!(ws.stream.revision, 2);
             let (fr, er) = reference(&s);
             assert_close(&fr, er, &f, e);
             let c = tel.profile().counters;
-            assert_eq!(c.rows_patched, s.n_atoms() as u64, "one patched refresh");
-            assert_eq!(c.rows_rebuilt, s.n_atoms() as u64, "one fresh build");
-            assert_eq!(c.rebuilds_skin, 1, "patch counted under its trigger");
-            (c.rows_patched, c.rows_rebuilt, c.cell_churn)
+            assert_eq!(c.rows_rebuilt, 2 * s.n_atoms() as u64, "two builds");
+            assert_eq!((c.rebuilds_initial, c.rebuilds_skin), (1, 1));
+            (c.rows_rebuilt, c.cell_churn)
         };
         assert_eq!(run(false), run(true), "row counters serial ≡ parallel");
     }
 
     #[test]
-    fn checkpoint_epochs_reproduce_patched_stream_bitwise() {
+    fn rebuild_at_epoch_reproduces_refreshed_stream_bitwise() {
         let mut s = water_box(12, 12, 12, 29);
         let table = s.pair_table();
         let mut ws = NonbondedWorkspace::new();
         let mut f = vec![Vec3::ZERO; s.n_atoms()];
         nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, false);
-        let e0 = ws.stream().ext_ref_positions().to_vec();
+        let e0 = ws.stream().ref_positions().to_vec();
+        // Past skin/2: the list is rebuilt at a new epoch…
         for p in &mut s.positions {
             p.x += 0.6;
             p.y -= 0.15;
         }
+        nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, false);
+        let e1 = ws.stream().ref_positions().to_vec();
+        assert_ne!(e0, e1, "the drift must have moved the epoch");
+        // …and then reused at positions that differ from it.
+        for p in &mut s.positions {
+            p.z += 0.2;
+        }
         let mut f1 = vec![Vec3::ZERO; s.n_atoms()];
         let e1_energy = nonbonded_forces_streamed(&s, &table, &mut ws, &mut f1, false);
-        assert_eq!(ws.stream().last_build(), StreamBuild::Patched);
-        let e1 = ws.stream().ref_positions().to_vec();
+        assert_eq!(ws.stream.revision, 2, "0.2 Å is inside skin/2");
 
-        // Resume path: fresh workspace, rebuild at the fresh epoch, then
-        // re-apply the patch epoch.
+        // Resume path: fresh workspace rebuilt at the checkpointed epoch,
+        // evaluated at the current positions.
         let mut ws2 = NonbondedWorkspace::new();
         let mut epoch = s.clone();
-        epoch.positions = e0;
-        ws2.rebuild_at_epoch(&epoch);
         epoch.positions = e1;
-        ws2.patch_at_epoch(&epoch);
-        assert_eq!(ws2.stream().n_pairs(), ws.stream().n_pairs());
-        assert_eq!(ws2.stream().n_ext_pairs(), ws.stream().n_ext_pairs());
-        assert_eq!(ws2.stream().last_build(), StreamBuild::Patched);
+        ws2.rebuild_at_epoch(&epoch);
+        assert_eq!(ws2.stream.order, ws.stream.order);
+        assert_eq!(ws2.stream.start, ws.stream.start);
+        assert_eq!(ws2.stream.partners, ws.stream.partners);
 
         let mut f2 = vec![Vec3::ZERO; s.n_atoms()];
         let e2_energy = nonbonded_forces_streamed(&s, &table, &mut ws2, &mut f2, false);
-        assert_eq!(e1_energy.lj.to_bits(), e2_energy.lj.to_bits());
-        assert_eq!(
-            e1_energy.coulomb_real.to_bits(),
-            e2_energy.coulomb_real.to_bits()
-        );
-        for (a, b) in f1.iter().zip(&f2) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-            assert_eq!(a.z.to_bits(), b.z.to_bits());
-        }
+        assert_eq!(ws2.stream.revision, 1, "no rebuild after the resume");
+        assert_eq!(energy_bits(e1_energy), energy_bits(e2_energy));
+        assert_eq!(vec_bits(&f1), vec_bits(&f2));
     }
 
     #[test]

@@ -204,16 +204,15 @@ pub struct Counters {
     /// Routes recomputed around dead fabric during a co-simulated run (fed
     /// via [`Telemetry::count_net_reroutes`]; always 0 on pure engine runs).
     pub net_reroutes: u64,
-    /// Stream rows refreshed by the verify-and-patch fast path (the
-    /// extended candidate list was still valid, only the cutoff filter
-    /// re-ran).
+    /// Always 0 since the patch path was deleted; kept until a
+    /// `benchmark`-type PR retires `md.stream.rows_patched_share`.
     pub rows_patched: u64,
-    /// Stream rows reconstructed by a full fresh rebuild (cell sort +
-    /// extended scan + CSR assembly).
+    /// Stream rows reconstructed by a list rebuild (cell sort + scan at
+    /// `cutoff + skin` + CSR assembly).
     pub rows_rebuilt: u64,
-    /// Atoms whose cell assignment changed between consecutive fresh
-    /// rebuilds (cell-membership churn; 0 on first builds and on the
-    /// all-pairs fallback).
+    /// Atoms whose cell assignment changed between consecutive rebuilds
+    /// (cell-membership churn; 0 on first builds and on the all-pairs
+    /// fallback).
     pub cell_churn: u64,
     /// Grid stencil points accumulated by GSE charge spreading (charged
     /// atoms × separable stencil volume).
@@ -542,14 +541,12 @@ impl Telemetry {
         }
     }
 
-    /// Record the outcome of a neighbor-list refresh at row granularity:
-    /// `patched` rows re-filtered in place from the extended list,
-    /// `rebuilt` rows reconstructed from a fresh cell scan, and `churn`
-    /// atoms whose cell assignment changed since the previous fresh build.
+    /// Record the size of a neighbor-list rebuild: `rebuilt` rows
+    /// reconstructed from a cell scan and `churn` atoms whose cell
+    /// assignment changed since the previous build.
     #[inline]
-    pub fn count_rows(&mut self, patched: u64, rebuilt: u64, churn: u64) {
+    pub fn count_rows(&mut self, rebuilt: u64, churn: u64) {
         if self.level != TelemetryLevel::Off {
-            self.profile.counters.rows_patched += patched;
             self.profile.counters.rows_rebuilt += rebuilt;
             self.profile.counters.cell_churn += churn;
         }

@@ -84,26 +84,15 @@ pub fn parse_xyz(text: &str) -> Vec<Vec<Vec3>> {
     frames
 }
 
-/// Current checkpoint format version. Bumped whenever the serialized layout
+/// The checkpoint format version. Bumped whenever the serialized layout
 /// changes incompatibly; [`crate::engine::EngineBuilder::resume_from`]
-/// rejects any other version with a typed error.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// rejects any other version with a typed error. Single-image and
+/// decomposed engines write the same format — they differ only in how many
+/// [`ShardImage`]s it carries — and either restores into the other.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
-/// Checkpoint format version written by a decomposed (sharded) engine:
-/// everything in version 3 plus per-shard state images and a consistency
-/// barrier ([`Checkpoint::validate_shards`]). Single-image engines keep
-/// writing version 3; [`crate::engine::EngineBuilder::resume_from`] accepts
-/// either version regardless of the resuming engine's own decomposition.
-pub const CHECKPOINT_VERSION_SHARDED: u32 = 4;
-
-/// How many entries of [`Phase::ALL`] the version-3 digest covers. Version 3
-/// shipped before the `Exchange` phase existed; its digest function must
-/// never change, so it hashes exactly the phase set it shipped with and
-/// version 4 appends the rest.
-const V3_DIGEST_PHASES: usize = 9;
-
-/// Per-shard state image inside a version-4 checkpoint: the atoms a shard
-/// owned at capture time (global indices) with their positions and
+/// Per-shard state image inside a decomposed engine's checkpoint: the atoms
+/// a shard owned at capture time (global indices) with their positions and
 /// velocities, stamped with the step at which the image was taken. The
 /// images are redundant with the global arrays by construction — that is
 /// the point: [`Checkpoint::validate_shards`] uses them as a consistency
@@ -126,19 +115,18 @@ pub struct ShardImage {
 
 /// Full restartable state of a simulation.
 ///
-/// Version 3 carries everything `Engine::step` consumes, so a resume does
-/// **zero** recomputation and the continued trajectory is bitwise identical
-/// to the uninterrupted one: positions, velocities, the short- and
-/// long-range force caches (the RESPA long forces are *not* recomputable at
-/// an arbitrary step — they were evaluated at earlier positions), the
-/// energy ledger, the thermostat RNG state, the neighbor-list epoch
-/// positions (fresh-build epoch plus, when the stream was last refreshed by
-/// an in-place patch, the patch epoch), and the accumulated telemetry
-/// profile.
+/// It carries everything `Engine::step` consumes, so a resume does **zero**
+/// recomputation and the continued trajectory is bitwise identical to the
+/// uninterrupted one: positions, velocities, the short- and long-range
+/// force caches (the RESPA long forces are *not* recomputable at an
+/// arbitrary step — they were evaluated at earlier positions), the energy
+/// ledger, the thermostat RNG state, the neighbor-list epoch positions, and
+/// the accumulated telemetry profile.
 ///
 /// [`Checkpoint::capture`] fills only the system-level fields (the rest
-/// default to empty/zero); `Engine::checkpoint` produces the complete
-/// record including a content digest over the dynamic state.
+/// default to empty/zero) and is not restorable into an engine;
+/// `Engine::checkpoint` produces the complete record including a content
+/// digest over the dynamic state.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Format version; see [`CHECKPOINT_VERSION`].
@@ -161,23 +149,15 @@ pub struct Checkpoint {
     pub rng_state: [u64; 4],
     /// Nosé–Hoover chain bead velocities, if that thermostat is active.
     pub nh_xi: Option<[f64; 2]>,
-    /// Neighbor-list epoch: the positions of the stream's last *fresh*
-    /// build (cell permutation + extended list). Resume rebuilds the stream
-    /// from these so skin-drift decisions replay identically. Empty means
-    /// the stream was never built.
+    /// Neighbor-list epoch: the positions the stream's list (and cell
+    /// permutation) was last built at. Resume rebuilds the stream from
+    /// these so skin-drift decisions replay identically.
     pub stream_epoch: Vec<Vec3>,
-    /// Positions of the stream's latest in-place *patch* refresh, when the
-    /// working list was last produced by a patch rather than a fresh build;
-    /// empty otherwise. A patch is a pure function of the fresh-build state
-    /// and the patch positions, so one fresh epoch plus the latest patch
-    /// epoch reproduce the stream bit-for-bit regardless of how many
-    /// patches ran in between.
-    pub stream_patch_epoch: Vec<Vec3>,
     /// Accumulated telemetry, so a resumed run's counters continue from the
     /// interrupted run's exact values.
     pub telemetry: StepProfile,
-    /// Per-shard state images (version 4 only; empty in version 3). See
-    /// [`ShardImage`].
+    /// Per-shard state images: one per shard of a decomposed engine, none
+    /// from a single-image engine. See [`ShardImage`].
     pub shards: Vec<ShardImage>,
     /// FNV-1a digest over the dynamic state (see [`Checkpoint::compute_digest`]);
     /// detects in-place corruption that still parses as valid JSON.
@@ -203,7 +183,6 @@ impl Checkpoint {
             rng_state: [0; 4],
             nh_xi: None,
             stream_epoch: Vec::new(),
-            stream_patch_epoch: Vec::new(),
             telemetry: StepProfile::default(),
             shards: Vec::new(),
             digest: 0,
@@ -229,7 +208,6 @@ impl Checkpoint {
             &self.f_short,
             &self.f_long,
             &self.stream_epoch,
-            &self.stream_patch_epoch,
         ] {
             h.word(field.len() as u64);
             for v in field.iter() {
@@ -269,53 +247,39 @@ impl Checkpoint {
             }
         }
         h.word(self.telemetry.steps);
-        // Version-gated tail: a version-3 checkpoint hashes exactly the
-        // phase set version 3 shipped with, so its digest function stays
-        // frozen as phases are added; version 4 hashes the full phase set
-        // plus the shard images.
-        let n_phases = if self.version >= CHECKPOINT_VERSION_SHARDED {
-            Phase::ALL.len()
-        } else {
-            V3_DIGEST_PHASES
-        };
-        for phase in &Phase::ALL[..n_phases] {
-            h.word(self.telemetry.phase_ns(*phase));
+        for phase in Phase::ALL {
+            h.word(self.telemetry.phase_ns(phase));
         }
-        if self.version >= CHECKPOINT_VERSION_SHARDED {
-            h.word(self.shards.len() as u64);
-            for img in &self.shards {
-                h.word(img.shard as u64);
-                h.word(img.step);
-                h.word(img.atoms.len() as u64);
-                for &a in &img.atoms {
-                    h.word(a as u64);
-                }
-                for v in img.positions.iter().chain(&img.velocities) {
-                    h.word(v.x.to_bits());
-                    h.word(v.y.to_bits());
-                    h.word(v.z.to_bits());
-                }
+        h.word(self.shards.len() as u64);
+        for img in &self.shards {
+            h.word(img.shard as u64);
+            h.word(img.step);
+            h.word(img.atoms.len() as u64);
+            for &a in &img.atoms {
+                h.word(a as u64);
+            }
+            for v in img.positions.iter().chain(&img.velocities) {
+                h.word(v.x.to_bits());
+                h.word(v.y.to_bits());
+                h.word(v.z.to_bits());
             }
         }
         h.finish()
     }
 
-    /// Consistency barrier for the shard images: every image was captured
-    /// at the checkpoint's step, the images partition the atoms exactly
-    /// once, and the reassembled per-shard state is bitwise identical to
-    /// the global position/velocity arrays. A version-3 checkpoint passes
-    /// iff it carries no images. Returns the first violated invariant.
+    /// Consistency barrier for the shard images: either there are none (a
+    /// single-image capture), or every image was captured at the
+    /// checkpoint's step, the images partition the atoms exactly once, and
+    /// the reassembled per-shard state is bitwise identical to the global
+    /// position/velocity arrays. Returns the first violated invariant.
     pub fn validate_shards(&self) -> Result<(), &'static str> {
-        if self.version != CHECKPOINT_VERSION_SHARDED {
-            if !self.shards.is_empty() {
-                return Err("shard images in a non-sharded checkpoint");
-            }
+        if self.shards.is_empty() {
             return Ok(());
         }
-        if self.shards.is_empty() {
-            return Err("sharded checkpoint without shard images");
-        }
         let n = self.positions.len();
+        if self.velocities.len() != n {
+            return Err("position and velocity arrays disagree in length");
+        }
         let mut seen = vec![false; n];
         let same = |x: &Vec3, y: &Vec3| {
             x.x.to_bits() == y.x.to_bits()

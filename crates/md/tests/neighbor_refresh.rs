@@ -1,18 +1,18 @@
-//! Property test for the production stream's verify-and-patch refresh:
-//! after ANY sequence of displacements — jitter inside the patch budget,
-//! cell-crossing jumps, barostat-style box rescales — evaluating through
-//! one reused [`NonbondedWorkspace`] must give the forces, energies and
-//! in-cutoff pair count of the scalar reference kernel over a
-//! [`NeighborList`] built from scratch at the same positions, whether the
-//! stream kept its list, patched it from the retained extended list, or
-//! rebuilt it.
+//! Property test for the production stream's list refresh: after ANY
+//! sequence of displacements — jitter around skin/2, cell-crossing jumps,
+//! barostat-style box rescales — evaluating through one reused
+//! [`NonbondedWorkspace`] must give the forces, energies and in-cutoff pair
+//! count of the scalar reference kernel over a [`NeighborList`] built from
+//! scratch at the same positions, whether the stream kept its list or
+//! rebuilt it, and the stream's list must be exactly the reference list at
+//! the stream's epoch.
 
 use anton2_md::forcefield::{ForceField, LjType, NonbondedSettings};
 use anton2_md::neighbor::NeighborList;
 use anton2_md::pairkernel::{count_interactions, nonbonded_forces};
 use anton2_md::pbc::PbcBox;
 use anton2_md::stream::{
-    nonbonded_forces_streamed, nonbonded_forces_streamed_profiled, NonbondedWorkspace, StreamBuild,
+    nonbonded_forces_streamed, nonbonded_forces_streamed_profiled, NonbondedWorkspace,
 };
 use anton2_md::telemetry::{Telemetry, TelemetryLevel};
 use anton2_md::topology::{Bond, Topology};
@@ -92,12 +92,10 @@ fn close(got: f64, want: f64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// 38 Å box at range 10 → 3 cells of width 12.67 per axis: the extended
-    /// list carries a 2.67 Å margin, i.e. a 1.33 Å patch budget. Mode 0
-    /// jitters every atom by up to 1.04 Å — past skin/2 for some atom,
-    /// inside the budget for all, so the forced first round must patch —
-    /// mode 1 kicks every fifth atom ≥ 4 Å across cell boundaries (must
-    /// rebuild fresh), mode 2 rescales the box (must rebuild fresh).
+    /// 38 Å box at range 10 → 3 cells of width 12.67 per axis. Mode 0
+    /// jitters every atom by up to 1.04 Å (past skin/2 for some atoms, not
+    /// for others), mode 1 kicks every fifth atom ≥ 4 Å across cell
+    /// boundaries (must rebuild), mode 2 rescales the box (must rebuild).
     #[test]
     fn refreshed_stream_matches_reference_list_and_kernel(
         seed in 0u64..10_000,
@@ -111,10 +109,6 @@ proptest! {
         let mut ws = NonbondedWorkspace::new();
         let mut f = vec![Vec3::ZERO; n];
         nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, parallel);
-        prop_assert_eq!(ws.stream().last_build(), StreamBuild::Fresh { cell_churn: 0 });
-        let mut patched = 0u32;
-        let mut fresh = 0u32;
-        let forced_fresh = modes.iter().any(|&m| m != 0);
         for &mode in std::iter::once(&0u8).chain(&modes) {
             match mode {
                 0 => {
@@ -144,12 +138,26 @@ proptest! {
             let e =
                 nonbonded_forces_streamed_profiled(&s, &table, &mut ws, &mut f, parallel, &mut tel);
             let c = tel.profile().counters;
-            if c.neighbor_rebuilds == 1 {
-                match ws.stream().last_build() {
-                    StreamBuild::Patched => patched += 1,
-                    StreamBuild::Fresh { .. } => fresh += 1,
-                }
+            if mode != 0 {
+                prop_assert_eq!(c.neighbor_rebuilds, 1, "cell-crossing/box rounds must rebuild");
             }
+
+            // The stream's list is the from-scratch list at its epoch,
+            // exclusions baked out: same pairs, exactly.
+            let epoch = ws.stream().ref_positions();
+            if c.neighbor_rebuilds == 1 {
+                prop_assert_eq!(epoch, &s.positions[..], "a rebuild moves the epoch here");
+            }
+            let nl_epoch = NeighborList::build(&s.pbc, epoch, s.nb.cutoff, s.nb.skin);
+            let mut want: Vec<(u32, u32)> = (0..n)
+                .flat_map(|i| nl_epoch.row(i).iter().map(move |&j| (i as u32, j)))
+                .filter(|&(i, j)| !s.topology.exclusions.is_excluded(i as usize, j as usize))
+                .collect();
+            let mut got: Vec<(u32, u32)> =
+                ws.stream().pairs().map(|(a, b)| (a.min(b), a.max(b))).collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, want, "stream list differs from the reference list");
 
             let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
             let mut f_ref = vec![Vec3::ZERO; n];
@@ -169,10 +177,6 @@ proptest! {
                     "{:?} vs {:?}", got, want
                 );
             }
-        }
-        prop_assert!(patched >= 1, "schedule never exercised the patch path");
-        if forced_fresh {
-            prop_assert!(fresh >= 1, "cell-crossing/box rounds must build fresh");
         }
     }
 }

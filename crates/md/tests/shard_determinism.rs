@@ -2,11 +2,12 @@
 //! **bitwise** identical to the single-image engine at every shard count —
 //! positions, velocities, energies, forces, and the global telemetry
 //! counters (minus the exchange traffic, which only a decomposed run has)
-//! — across serial/parallel force paths, neighbor-list patches from seam
+//! — across serial/parallel force paths, neighbor-list rebuilds from seam
 //! crossings, and barostat box rescales. A sharded run interrupted at step
-//! k must resume from its version-4 checkpoint bitwise identical to the
-//! uninterrupted run, and invalid decompositions must be rejected at build
-//! time with actionable messages.
+//! k must resume from its checkpoint bitwise identical to the uninterrupted
+//! run, single-image and sharded checkpoints must restore into each other,
+//! and invalid decompositions must be rejected at build time with
+//! actionable messages.
 
 use anton2_md::builders::water_box;
 use anton2_md::prelude::*;
@@ -99,7 +100,7 @@ proptest! {
         sharded.run(steps);
         if shift {
             // Rigid shift past skin/2: atoms cross shard seams and the
-            // stream refreshes, exercising re-plan/patch paths.
+            // stream rebuilds, exercising the re-plan path.
             for e in [&mut single, &mut sharded] {
                 for p in &mut e.system.positions {
                     p.x += 0.6;
@@ -171,16 +172,16 @@ fn two_cubed_decomposition_matches_single_image_bitwise() {
     }
 }
 
-/// Interrupt-at-k for the decomposed engine: the version-4 checkpoint
-/// (per-shard images + consistency barrier) resumes bitwise identical to
-/// the uninterrupted sharded run, through a JSON round trip, mid-RESPA.
+/// Interrupt-at-k for the decomposed engine: its checkpoint (per-shard
+/// images + consistency barrier) resumes bitwise identical to the
+/// uninterrupted sharded run, through a JSON round trip, mid-RESPA.
 #[test]
-fn sharded_v4_resume_is_bitwise_uninterrupted() {
+fn sharded_resume_is_bitwise_uninterrupted() {
     let grid = ShardGrid::new(2, 2, 1);
     let mut reference = engine(small_system(21), grid, false, 2);
     reference.run(3); // 3 % 2 != 0: mid RESPA cycle
     let cp = reference.checkpoint();
-    assert_eq!(cp.version, CHECKPOINT_VERSION_SHARDED);
+    assert_eq!(cp.version, CHECKPOINT_VERSION);
     assert_eq!(cp.shards.len(), 4);
     assert!(cp.validate_shards().is_ok());
     assert!(cp.shards.iter().all(|img| img.step == 3));
@@ -189,7 +190,7 @@ fn sharded_v4_resume_is_bitwise_uninterrupted() {
 
     let json = serde_json::to_string(&cp).unwrap();
     let back: Checkpoint = serde_json::from_str(&json).unwrap();
-    assert!(back.digest_ok(), "v4 digest broke in serialization");
+    assert!(back.digest_ok(), "digest broke in serialization");
     let mut resumed = Engine::builder()
         .system(small_system(21))
         .config(reference.cfg)
@@ -202,34 +203,33 @@ fn sharded_v4_resume_is_bitwise_uninterrupted() {
     assert_eq!(state_bits(&resumed), want, "sharded resume diverged");
 }
 
-/// Version sniffing both ways: a v4 (sharded) checkpoint restores into a
-/// single-image engine and a v3 (single-image) checkpoint restores into a
-/// sharded engine — and because the engines are bitwise identical, every
-/// continuation lands on the same trajectory.
+/// Cross-resume both ways: a sharded checkpoint (with images) restores
+/// into a single-image engine and a single-image checkpoint (without)
+/// restores into a sharded engine — and because the engines are bitwise
+/// identical, every continuation lands on the same trajectory.
 #[test]
-fn resume_crosses_checkpoint_versions_bitwise() {
+fn resume_crosses_decompositions_bitwise() {
     let grid = ShardGrid::new(2, 2, 1);
     let mut single = engine(small_system(31), ShardGrid::single(), false, 1);
     let mut sharded = engine(small_system(31), grid, false, 1);
     single.run(3);
     sharded.run(3);
-    let cp3 = single.checkpoint();
-    let cp4 = sharded.checkpoint();
-    assert_eq!(cp3.version, CHECKPOINT_VERSION);
-    assert_eq!(cp4.version, CHECKPOINT_VERSION_SHARDED);
+    let cp_single = single.checkpoint();
+    let cp_sharded = sharded.checkpoint();
+    assert_eq!(cp_single.version, cp_sharded.version);
+    assert!(cp_single.shards.is_empty());
+    assert_eq!(cp_sharded.shards.len(), 4);
     single.run(3);
     let want = state_bits(&single);
 
-    // v4 → single-image engine.
     let mut a = engine(small_system(31), ShardGrid::single(), false, 1);
-    a.restore(&cp4).unwrap();
+    a.restore(&cp_sharded).unwrap();
     a.run(3);
-    assert_eq!(state_bits(&a), want, "v4 into single-image diverged");
-    // v3 → sharded engine.
+    assert_eq!(state_bits(&a), want, "sharded into single-image diverged");
     let mut b = engine(small_system(31), grid, false, 1);
-    b.restore(&cp3).unwrap();
+    b.restore(&cp_single).unwrap();
     b.run(3);
-    assert_eq!(state_bits(&b), want, "v3 into sharded diverged");
+    assert_eq!(state_bits(&b), want, "single-image into sharded diverged");
 }
 
 /// The consistency barrier rejects images that are inconsistent with the
@@ -274,6 +274,31 @@ fn consistency_barrier_rejects_torn_checkpoints() {
         e.restore(&doubled),
         Err(EngineError::CheckpointMismatch(
             "shard images do not partition the atoms"
+        ))
+    );
+
+    // One image dropped: the stale digest catches the edit; with the digest
+    // recomputed the barrier finds the atoms nobody imaged.
+    let mut dropped = cp.clone();
+    dropped.shards.pop();
+    assert_eq!(e.restore(&dropped), Err(EngineError::CheckpointCorrupt));
+    dropped.digest = dropped.compute_digest();
+    assert_eq!(
+        e.restore(&dropped),
+        Err(EngineError::CheckpointMismatch(
+            "shard images do not cover every atom"
+        ))
+    );
+
+    // Global arrays that disagree in length: the barrier answers, it does
+    // not index past the shorter one.
+    let mut short = cp.clone();
+    short.velocities.pop();
+    short.digest = short.compute_digest();
+    assert_eq!(
+        e.restore(&short),
+        Err(EngineError::CheckpointMismatch(
+            "position and velocity arrays disagree in length"
         ))
     );
 
