@@ -511,7 +511,7 @@ pub struct RecoveryTrajectory {
     pub replanned_at_cycle: Option<u32>,
     /// What the replan changed (None if nothing was ever detected).
     pub replan: Option<crate::plan::ReplanSummary>,
-    /// Checkpoint digest taken at the replan boundary — the Checkpoint v4
+    /// Checkpoint digest taken at the replan boundary — the checkpoint
     /// barrier the re-planning coordinates with.
     pub checkpoint_digest: Option<u64>,
     /// Checkpoint digest at trajectory end. Planning lives entirely on the

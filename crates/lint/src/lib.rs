@@ -21,7 +21,7 @@
 //!
 //! The *hot set* is no longer a hand-written list: [`manifest`] declares
 //! only the entry points (the per-step `Phase` implementations, the shard
-//! record/replay paths, the network protocol) and the analyzer derives
+//! evaluate/merge paths, the network protocol) and the analyzer derives
 //! everything reachable from them through the workspace call graph
 //! ([`symbols`] → [`callgraph`] → [`reach`] → [`workspace`]).
 //!

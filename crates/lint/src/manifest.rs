@@ -2,7 +2,7 @@
 //!
 //! Since the call-graph rework, the manifest no longer enumerates every
 //! hot function — it declares the **entry points** (the per-step phase
-//! implementations, the shard record/replay/exchange paths, the
+//! implementations, the shard evaluate/merge/exchange paths, the
 //! per-crossing network protocol, and the deterministic-accumulation API)
 //! and the analyzer derives the hot set transitively ([`crate::reach`]).
 //! Adding a helper to a hot function subjects it to the hot-set rules
@@ -51,7 +51,7 @@ pub const HOT_MODULES: &[&str] = &[
 /// set. `ShardContext` roots additionally seed the shard-isolation set.
 ///
 /// The roots are the ten `Phase` implementations (NeighborRebuild through
-/// Exchange), the shard-context record path, the per-crossing network
+/// Exchange), the shard-context evaluation path, the per-crossing network
 /// fault/retry protocol, and the co-sim's deterministic accumulation
 /// kernels (the fixed-point API is hot by contract even where the current
 /// in-tree callers are few — external node kernels call it).
@@ -104,10 +104,11 @@ pub const ENTRY_POINTS: &[(&str, &str, EntryKind)] = &[
     // Phase::Exchange + the shard driver phases.
     ("exchange.rs", "exchange", EntryKind::Step),
     ("shard.rs", "sync", EntryKind::Step),
-    ("shard.rs", "replay", EntryKind::Step),
+    ("shard.rs", "merge_forces", EntryKind::Step),
     // Shard-context evaluation: runs per shard, may only write shard-local
-    // state. Seeds the shard-isolation set.
-    ("shard.rs", "record", EntryKind::ShardContext),
+    // state (its fixed-point image, tally and telemetry). Seeds the
+    // shard-isolation set.
+    ("shard.rs", "evaluate", EntryKind::ShardContext),
     // Co-sim node kernels + the fixed-point accumulation API they use.
     ("cosim.rs", "node_pair_forces", EntryKind::Step),
     ("cosim.rs", "verify_pair_forces_with", EntryKind::Step),
@@ -135,9 +136,8 @@ pub const ENTRY_POINTS: &[(&str, &str, EntryKind)] = &[
 /// the steady state — a whole `Engine::step` included — allocation-free
 /// end to end.
 pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
-    // Stream refresh: a rebuild grows list and plan buffers.
+    // Stream refresh: a rebuild grows the list buffers.
     ("stream.rs", "rebuild"),
-    ("stream.rs", "build_plans"),
     ("stream.rs", "rebuild_at_epoch"),
     // Cell binning allocates the CSR arrays on (re)build.
     ("cells.rs", "build"),
@@ -145,7 +145,7 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     // (below), never by the engine.
     ("neighbor.rs", "build"),
     // Shard exchange planning builds the per-shard row plan once per
-    // refresh epoch (reached from `sync`, not from the per-step replay).
+    // refresh epoch (reached from `sync`, not from the per-step merge).
     ("shard.rs", "plan"),
     // Constructors: sized once at system setup, then reused.
     ("fixedpoint.rs", "new"),
@@ -190,15 +190,14 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     ("torus.rs", "route_with_order"),
 ];
 
-/// Functions that only the driver may execute: the canonical-order replay
-/// accumulation and the halo exchange, which write driver-global state
+/// Functions that only the driver may execute: the integer merge of the
+/// shard images and the halo exchange, which write driver-global state
 /// (the single force image, driver telemetry). Shard-context code
-/// ([`EntryKind::ShardContext`] reachability) must never reach these — the
-/// record/replay split (DESIGN.md §16) exists precisely so all cross-shard
-/// writes happen in driver order.
+/// ([`EntryKind::ShardContext`] reachability) must never reach these —
+/// shards write only their own images, and every cross-shard write is the
+/// driver's (DESIGN.md §16).
 pub const DRIVER_ONLY: &[(&str, &str)] = &[
-    ("shard.rs", "replay"),
-    ("shard.rs", "replay_rows"),
+    ("shard.rs", "merge_forces"),
     ("exchange.rs", "exchange"),
     ("gse.rs", "solve_potential_into"),
 ];

@@ -2,7 +2,7 @@
 //!
 //! The manifest no longer enumerates every hot function by hand — it
 //! declares only the *roots* (the per-step phase implementations, the
-//! exchange/record/replay shard paths, the per-crossing network protocol,
+//! exchange/evaluate/merge shard paths, the per-crossing network protocol,
 //! and the deterministic-accumulation API), and the hot set is **derived**
 //! by walking the call graph. A helper added to a hot function is hot from
 //! the moment it is called; nothing needs manifest maintenance.

@@ -85,7 +85,7 @@ impl Rule {
                 "\
 nondet — no nondeterminism in hot code.
 
-Why: the engine's contract is bitwise serial ≡ parallel ≡ replay.
+Why: the engine's contract is bitwise serial ≡ parallel ≡ sharded.
 HashMap/HashSet iterate in randomized order, Instant/SystemTime read wall
 clocks outside the telemetry Clock trait, and rand/thread_rng/from_entropy
 inject entropy that is not part of the seeded state. Any of these in the
@@ -128,8 +128,8 @@ float-reduction — no bare float accumulation in hot code.
 
 Why: float addition is not associative; a free-order .sum::<f64>() or
 fold(0.0, +) gives different bits serial vs parallel, breaking the bitwise
-contract. Reductions must fix their order explicitly (fixed-chunk NB_CHUNKS
-merges, fixed-point accumulators) or be declared order-safe.
+contract. Reductions must fix their order explicitly (fixed-chunk merges
+in chunk order, fixed-point accumulators) or be declared order-safe.
 
 Scope: hot-path modules and derived hot-set functions; REDUCTION_HELPERS
 lists the audited exceptions (serial, memory-order dot products).
@@ -204,22 +204,22 @@ Escape hatch: // anton2-lint: allow(panic-freedom) -- <why unreachable>"
                 "\
 shard-isolation — shard-context code writes only shard-local state.
 
-Why: the record/replay split (DESIGN.md §16) keeps shard execution bitwise
-identical to the single image by isolating every cross-shard write into
-the driver's canonical-order replay. A shard-context function that writes
-driver-global telemetry or grid state reintroduces order dependence.
+Why: shards write only their own fixed-point images (DESIGN.md §16); every
+cross-shard write is the driver's merge of those images. A shard-context
+function that writes driver-global telemetry or grid state breaks that
+isolation and makes a shard's result depend on its neighbours.
 
 Scope: functions reachable from ShardContext entry points. Two checks:
-(1) reaching a DRIVER_ONLY function (replay, replay_rows, exchange,
+(1) reaching a DRIVER_ONLY function (merge_forces, exchange,
 solve_potential_into) is a violation, reported with the call path;
 (2) mutating telemetry through a bare `tel` binding (the driver's) instead
 of the per-shard sink (`shard.tel.count_*`) is a violation.
 
 Example violation:
-    fn record_shard_rows(..., tel: &mut Telemetry) { tel.count_pairs(n, c); }
+    fn evaluate_shard_rows(..., tel: &mut Telemetry) { tel.count_pairs(n, c); }
 
-Fix: write to the shard's own `tel` field; the driver merges per-shard
-telemetry after replay.
+Fix: write to the shard's own `tel` field; the driver books the global
+counters from the merged tally.
 
 Escape hatch: // anton2-lint: allow(shard-isolation) -- <why driver-safe>"
             }
@@ -539,7 +539,7 @@ pub(crate) fn scan_float_reduction(
                 t.line,
                 format!(
                     "bare `.sum::<{}>()` outside approved reduction helpers; use a \
-                     fixed-chunk reduction (NB_CHUNKS-style) or a fixed-point accumulator",
+                     fixed-chunk reduction in chunk order or a fixed-point accumulator",
                     toks[i + 3].text
                 ),
             ));

@@ -301,7 +301,7 @@ fn shard_isolation(
                     message: format!(
                         "driver-only fn `{name}` is reachable from a shard-context entry \
                          (call path: {path}); cross-shard writes must stay in the driver's \
-                         canonical-order replay"
+                         merge"
                     ),
                     excerpt: excerpt(table, fi, sym.line),
                 });
@@ -334,7 +334,7 @@ fn shard_isolation(
                         message: format!(
                             "shard-context fn `{}` writes driver-global telemetry \
                              (`tel.{m}`); route through the per-shard sink (`shard.tel`) \
-                             and let the driver merge after replay",
+                             and let the driver merge it",
                             sym.name
                         ),
                         excerpt: excerpt(table, fi, toks[i].line),

@@ -468,9 +468,8 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("network.rs", "claim"),
     ("network.rs", "cross_link"),
     ("shard.rs", "sync"),
-    ("shard.rs", "record"),
-    ("shard.rs", "replay"),
-    ("shard.rs", "replay_rows"),
+    ("shard.rs", "evaluate"),
+    ("shard.rs", "merge_forces"),
     ("exchange.rs", "exchange"),
 ];
 

@@ -3,57 +3,94 @@
 //! Anton guarantees bitwise-identical trajectories regardless of how work is
 //! distributed, because forces are summed in fixed point — integer addition
 //! is associative and commutative, so the arrival order of partial forces
-//! (which depends on network timing) cannot change the result. This module
-//! provides the same property for the co-simulator: every force produced by
-//! a simulated PPIM or geometry core lands in one of these accumulators.
+//! (which depends on network timing) cannot change the result. The engine's
+//! pair stream accumulates in these units (`crate::stream`), and so does
+//! every force a simulated PPIM or geometry core produces in the
+//! co-simulator.
 
 use crate::vec3::Vec3;
 
 /// Fixed-point scale: 2²⁴ units per kcal/mol/Å ≈ 6e-8 force resolution,
-/// comparable to Anton's on-chip force precision.
+/// comparable to Anton's on-chip force precision. Pair-stream energies and
+/// virials use the same scale per kcal/mol.
 pub const FORCE_SCALE: f64 = (1u64 << 24) as f64;
 
-/// Largest force magnitude representable without risking i64 overflow even
-/// after millions of partial contributions.
-pub const MAX_FORCE: f64 = 1e9;
+/// Largest force magnitude (kcal/mol/Å) a contribution may carry; larger
+/// ones saturate. 2²⁶ ≈ 6.7e7, half the 2²⁷ up to which [`to_fixed`] is
+/// exact. One saturated contribution is 2⁵⁰ units, so an `i64` holds 8192
+/// of them.
+pub const MAX_FORCE: f64 = (1u64 << 26) as f64;
 
-/// Convert one force component to fixed point (round-to-nearest-even via
-/// `f64::round` semantics is fine here; ties are measure-zero).
-#[inline]
+/// [`to_fixed`] is exact for |x| ≤ 2²⁷, where `x · FORCE_SCALE` fits the
+/// 2⁵¹ range of the shifter.
+const EXACT_LIMIT: f64 = (1u64 << 27) as f64;
+
+/// 1.5·2⁵²: adding it puts any |v| ≤ 2⁵¹ into [2⁵², 2⁵³), where the f64
+/// ulp is exactly 1, so the addition itself rounds `v` to the nearest
+/// integer (ties to even) and the low mantissa bits hold it offset by the
+/// shifter's own bits.
+const SHIFTER: f64 = 6_755_399_441_055_744.0;
+
+/// Convert one component to fixed point, rounding to nearest (ties to
+/// even). Branch-free and without a libm call: one multiply, one add and
+/// an integer subtract. `|x|` must not exceed 2²⁷; callers that cannot
+/// prove the range use [`to_fixed_saturating`].
+#[inline(always)]
 pub fn to_fixed(x: f64) -> i64 {
     debug_assert!(
-        x.abs() < MAX_FORCE,
+        x.abs() <= EXACT_LIMIT,
         "force component {x} out of fixed-point range"
     );
-    (x * FORCE_SCALE).round() as i64
+    (x * FORCE_SCALE + SHIFTER).to_bits() as i64 - SHIFTER.to_bits() as i64
 }
 
-/// Convert back to floating point.
+/// [`to_fixed`] per component.
+#[inline(always)]
+pub(crate) fn to_fixed3(f: Vec3) -> [i64; 3] {
+    [to_fixed(f.x), to_fixed(f.y), to_fixed(f.z)]
+}
+
+/// Convert back to floating point (exact below 2⁵³ units).
 #[inline]
 pub fn from_fixed(x: i64) -> f64 {
     x as f64 / FORCE_SCALE
 }
 
-/// Convert one force component to fixed point, saturating at
-/// [`MAX_FORCE`] like a hardware accumulator input stage. Returns the
-/// (possibly clamped) value and whether clamping occurred — the telemetry
-/// layer counts these events (`fixedpoint_clamps`), since a clamp means
-/// the simulated machine silently lost force precision.
+/// Convert one component to fixed point, saturating at ±[`MAX_FORCE`]
+/// like a hardware accumulator input stage; a NaN saturates to 0. Returns
+/// the value and whether it saturated — the telemetry layer counts these
+/// events (`fixedpoint_clamps`), since a clamp means force precision was
+/// silently lost.
 #[inline]
 pub fn to_fixed_saturating(x: f64) -> (i64, bool) {
-    let limit = MAX_FORCE * FORCE_SCALE;
-    let v = (x * FORCE_SCALE).round();
-    if v >= limit {
-        (limit as i64, true)
-    } else if v <= -limit {
-        (-(limit as i64), true)
+    let c = if x.is_nan() {
+        0.0
     } else {
-        (v as i64, false)
+        x.clamp(-MAX_FORCE, MAX_FORCE)
+    };
+    (to_fixed(c), c != x)
+}
+
+/// Add `b` into `a` component-wise. Wrapping: addition modulo 2⁶⁴ is
+/// still associative and commutative, so even an overflowed sum is
+/// order-independent (and the clamp counter says it is meaningless).
+#[inline(always)]
+pub(crate) fn add3(a: &mut [i64; 3], b: [i64; 3]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = x.wrapping_add(y);
+    }
+}
+
+/// Subtract `b` from `a` component-wise (wrapping, as [`add3`]).
+#[inline(always)]
+pub(crate) fn sub3(a: &mut [i64; 3], b: [i64; 3]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = x.wrapping_sub(y);
     }
 }
 
 /// A per-atom fixed-point force accumulator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FixedAccumulator {
     acc: Vec<[i64; 3]>,
     /// Saturation events observed by [`FixedAccumulator::add`].
@@ -90,7 +127,7 @@ impl FixedAccumulator {
         let a = &mut self.acc[i];
         for (slot, x) in a.iter_mut().zip([f.x, f.y, f.z]) {
             let (v, clamped) = to_fixed_saturating(x);
-            *slot += v;
+            *slot = slot.wrapping_add(v);
             self.clamps += clamped as u64;
         }
     }
@@ -99,10 +136,7 @@ impl FixedAccumulator {
     /// simulated nodes stay in fixed point end to end).
     #[inline]
     pub fn add_fixed(&mut self, i: usize, f: [i64; 3]) {
-        let a = &mut self.acc[i];
-        a[0] += f[0];
-        a[1] += f[1];
-        a[2] += f[2];
+        add3(&mut self.acc[i], f);
     }
 
     /// Raw fixed-point value for atom `i`.
@@ -125,10 +159,21 @@ impl FixedAccumulator {
 
     /// Reset to zero (forces and clamp count), keeping the allocation.
     pub fn clear(&mut self) {
-        for a in &mut self.acc {
-            *a = [0; 3];
-        }
+        self.acc.fill([0; 3]);
         self.clamps = 0;
+    }
+
+    /// Resize to `n_atoms` and reset to zero, keeping the allocation once
+    /// it is large enough.
+    pub(crate) fn resize_zeroed(&mut self, n_atoms: usize) {
+        self.acc.resize(n_atoms, [0; 3]);
+        self.clear();
+    }
+
+    /// The raw fixed-point values, for a producer that adds into them in
+    /// place (the pair stream's sink).
+    pub(crate) fn fixed_mut(&mut self) -> &mut [[i64; 3]] {
+        &mut self.acc
     }
 
     /// Merge another accumulator (e.g. one per simulated node) into this
@@ -136,9 +181,7 @@ impl FixedAccumulator {
     pub fn merge(&mut self, other: &FixedAccumulator) {
         assert_eq!(self.acc.len(), other.acc.len());
         for (a, b) in self.acc.iter_mut().zip(&other.acc) {
-            a[0] += b[0];
-            a[1] += b[1];
-            a[2] += b[2];
+            add3(a, *b);
         }
         self.clamps += other.clamps;
     }
@@ -157,6 +200,34 @@ mod tests {
             let back = from_fixed(to_fixed(x));
             assert!((back - x).abs() <= 0.5 / FORCE_SCALE, "{x} -> {back}");
         }
+    }
+
+    #[test]
+    fn shifter_rounds_to_nearest_even_over_the_whole_range() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let want = |x: f64| (x * FORCE_SCALE).round_ties_even() as i64;
+        // Exact ties (k + ½ units), both signs, and the range ends.
+        for k in [0i64, 1, 2, 3, 1 << 20, (1 << 50) - 1] {
+            for sign in [1.0, -1.0] {
+                let x = sign * (k as f64 + 0.5) / FORCE_SCALE;
+                assert_eq!(to_fixed(x), want(x), "tie {x}");
+            }
+        }
+        for x in [MAX_FORCE, -MAX_FORCE, EXACT_LIMIT, -EXACT_LIMIT, 0.0, -0.0] {
+            assert_eq!(to_fixed(x), want(x), "{x}");
+        }
+        // Random magnitudes spread over every binade up to the limit.
+        for _ in 0..100_000 {
+            let x = (rng.gen::<f64>() - 0.5) * 2.0 * EXACT_LIMIT * rng.gen::<f64>().powi(40);
+            assert_eq!(to_fixed(x), want(x), "{x}");
+        }
+    }
+
+    #[test]
+    fn saturating_conversion_maps_nan_to_zero_and_counts_it() {
+        assert_eq!(to_fixed_saturating(f64::NAN), (0, true));
+        assert!(to_fixed_saturating(f64::INFINITY).1);
+        assert_eq!(to_fixed_saturating(MAX_FORCE), (to_fixed(MAX_FORCE), false));
     }
 
     #[test]

@@ -14,11 +14,6 @@ use crate::vec3::Vec3;
 /// 2/sqrt(pi), used in the Ewald real-space force.
 const TWO_OVER_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 
-/// Fixed chunk count of the parallel streamed kernel (`crate::stream`, and
-/// the shard replay that reproduces its order). Independent of the rayon
-/// thread count so the chunk-order reduction is bitwise reproducible.
-pub const NB_CHUNKS: usize = 64;
-
 /// Energy/virial tallies from a nonbonded evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct NonbondedEnergy {

@@ -11,54 +11,45 @@
 //!   the shard's region; each working-list row is evaluated by exactly the
 //!   shard that owns it;
 //! * an **import region** — the deduplicated set of slots appearing as
-//!   partners in the shard's rows but owned elsewhere (the half-shell
-//!   traversal of the stream build means this *is* the NT import region at
-//!   `cutoff + skin`, restricted to actual candidates);
+//!   partners in the shard's rows but owned elsewhere: the half-shell
+//!   traversal of the stream build at `cutoff + skin`, restricted to actual
+//!   candidates. This is owner-computes half-shell import, not the NT
+//!   method's tower and plate; F6 puts its volume at 1.08–2.32× the NT
+//!   import volume (8 to 512 nodes);
 //! * a **shard-local SoA mirror** of positions/charges/LJ types, poisoned
 //!   with NaN / `u32::MAX` outside `owned ∪ imports` so a read outside the
 //!   planned import region corrupts the pair (caught by `debug_assert!`
 //!   and by the bitwise-identity tests) instead of silently using data the
 //!   real machine would not have;
-//! * its own [`Telemetry`] sink (per-shard phase times, pair and exchange
-//!   counters).
+//! * its own fixed-point force image and [`Telemetry`] sink (per-shard
+//!   phase times, pair, clamp and exchange counters).
 //!
 //! **Bitwise identity with the single-image engine** is the load-bearing
-//! contract (the shard-count analogue of DESIGN.md §9's thread-count
-//! independence). Floating-point addition is not associative, so shards
-//! cannot simply sum boundary forces in shard order. Instead evaluation is
-//! split into two stages:
+//! contract, and it rests on the same argument as thread-count
+//! independence (DESIGN.md §9): forces accumulate in fixed point. Each
+//! shard evaluates its owned rows against its local mirror with the shared
+//! row evaluator, so every pair force, and every row's energy sum, is the
+//! same pure function of the two atoms whichever shard computes it; the
+//! shard adds the converted integers into its own image
+//! (`ShardSet::evaluate`), and the driver adds the shard images into one
+//! (`ShardSet::merge_forces`). Integer addition is associative and
+//! commutative, so the merged image — and everything integrated from it —
+//! is bit for bit the single-image one at any shard count, in any order.
 //!
-//! 1. **Record** (`ShardSet::record`): each shard evaluates its owned
-//!    rows against its local mirror and writes one `PairRecord` per
-//!    in-cutoff pair — the pair force and energy terms, which are pure
-//!    per-pair functions of the two positions and therefore identical bits
-//!    no matter which shard computes them — into a global buffer at the
-//!    pair's canonical CSR position.
-//! 2. **Replay** (`ShardSet::replay`): the driver accumulates the
-//!    records in the exact (row, pair) order of the single-image kernel —
-//!    serial row order, or the fixed [`NB_CHUNKS`] chunk merge — so every
-//!    force and energy accumulator sees the same additions in the same
-//!    order as `nonbonded_forces_streamed` and lands on identical bits at
-//!    any shard count.
-//!
-//! Shards are evaluated by a serial loop (the bench host exposes one
-//! logical CPU — see EXPERIMENTS.md F20); parallelism stays where it
-//! already pays, in the chunked replay. When the stream falls back to the
-//! all-pairs path mid-run (a barostat shrinking the box below three cells
-//! per axis), the decomposition degrades to shard 0 owning everything,
-//! which is exactly the single-image engine.
+//! Shards are evaluated one after another on the calling thread. When the
+//! stream falls back to the all-pairs path mid-run (a barostat shrinking
+//! the box below three cells per axis), the decomposition degrades to
+//! shard 0 owning everything, which is exactly the single-image engine.
 
 use crate::cells::CellGrid;
+use crate::fixedpoint::FixedAccumulator;
 use crate::forcefield::PairTable;
-use crate::pairkernel::{NonbondedEnergy, NB_CHUNKS};
 use crate::stream::{
-    evaluate_rows, Accumulate, NonbondedStream, PairRecord, PairSink, RowScratch, SlotData,
-    ROW_SEGMENT,
+    evaluate_rows, Accumulate, NonbondedStream, RowScratch, SlotData, Tally, ROW_SEGMENT,
 };
 use crate::system::System;
 use crate::telemetry::{Counters, Phase, PhaseBreakdownUs, StepProfile, Telemetry, TelemetryLevel};
 use crate::vec3::Vec3;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// An ℓ×m×n spatial decomposition of the simulation box. `1×1×1` (the
@@ -143,7 +134,7 @@ impl ShardGrid {
 }
 
 /// One spatial domain: its ownership plan, import region, NaN-poisoned
-/// local SoA mirror, and telemetry sink.
+/// local SoA mirror, fixed-point force image and telemetry sink.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) id: u32,
@@ -164,6 +155,11 @@ pub(crate) struct Shard {
     /// Full-length local LJ-type mirror; `u32::MAX` (an out-of-bounds
     /// table row) outside the region.
     pub(crate) local_lj_type: Vec<u32>,
+    /// Full-length fixed-point forces from this shard's rows: its owned
+    /// slots and the partners it imported.
+    pub(crate) image: FixedAccumulator,
+    /// Energies, clamps and pair counts of this shard's last evaluation.
+    pub(crate) tally: Tally,
     /// Per-shard telemetry: Exchange/ShortRange/GseSpread phase times plus
     /// pair and exchange counters for this shard's slice of the step.
     pub(crate) tel: Telemetry,
@@ -187,20 +183,12 @@ pub struct ShardSummary {
     pub counters: Counters,
 }
 
-/// The decomposition: all shards plus the global record/replay buffers and
-/// the stream-revision bookkeeping that keeps the plans in sync with list
-/// rebuilds.
+/// The decomposition: all shards plus the stream-revision bookkeeping that
+/// keeps the plans in sync with list rebuilds.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     grid: ShardGrid,
     pub(crate) shards: Vec<Shard>,
-    /// Recorded pairs, aligned with the working-list CSR: row `s`'s records
-    /// sit compacted at `stream.start[s] .. stream.start[s] + row_pairs[s]`.
-    pub(crate) pair_records: Vec<PairRecord>,
-    /// In-cutoff pair count per row (cut candidates = row length − this).
-    pub(crate) row_pairs: Vec<u32>,
-    /// Accumulated row force per row (the `fs` of the streaming kernel).
-    pub(crate) row_fs: Vec<Vec3>,
     /// Owning shard id per sorted slot.
     pub(crate) shard_of_slot: Vec<u32>,
     /// Generation-stamped dedup scratch for import planning.
@@ -226,12 +214,11 @@ impl ShardSet {
                     local_pos: Vec::new(),
                     local_charge: Vec::new(),
                     local_lj_type: Vec::new(),
+                    image: FixedAccumulator::default(),
+                    tally: Tally::default(),
                     tel: Telemetry::new(level),
                 })
                 .collect(),
-            pair_records: Vec::new(),
-            row_pairs: Vec::new(),
-            row_fs: Vec::new(),
             shard_of_slot: Vec::new(),
             stamp: Vec::new(),
             stamp_gen: 0,
@@ -253,8 +240,8 @@ impl ShardSet {
         }
     }
 
-    /// Rebuild ownership, import regions, local mirrors and record buffers
-    /// from a stream rebuild. Runs at rebuild cadence, not per step.
+    /// Rebuild ownership, import regions and local mirrors from a stream
+    /// rebuild. Runs at rebuild cadence, not per step.
     fn plan(&mut self, stream: &NonbondedStream) {
         let ns = stream.pos.len();
         self.shard_of_slot.resize(ns, 0);
@@ -336,20 +323,15 @@ impl ShardSet {
                 self.shards[owner].exported += 1;
             }
         }
-        self.pair_records
-            .resize(stream.partners.len(), PairRecord::default());
-        self.row_pairs.resize(ns, 0);
-        self.row_fs.resize(ns, Vec3::ZERO);
     }
 
-    /// Stage 1: every shard runs the shared row evaluator
-    /// ([`evaluate_rows`]) over its owned rows, reading its local mirror —
-    /// so the records prove the shard touched only its planned region —
-    /// and feeding a [`RecordSink`] that writes per-pair records at
-    /// canonical CSR positions. Serial over shards (disjoint row ranges;
-    /// see the module docs for why the 1-CPU host makes shard-level
-    /// threading pointless), timed and counted per shard.
-    pub(crate) fn record(&mut self, stream: &NonbondedStream, table: &PairTable, alpha: f64) {
+    /// Every shard runs the shared row evaluator ([`evaluate_rows`]) over
+    /// its owned rows, reading its local mirror — so its forces prove the
+    /// shard touched only its planned region — and adds the pair forces
+    /// into its own fixed-point image. Serial over shards, timed and
+    /// counted per shard; writes nothing outside the shards.
+    pub(crate) fn evaluate(&mut self, stream: &NonbondedStream, table: &PairTable, alpha: f64) {
+        let ns = stream.pos.len();
         let mut scratch: RowScratch<ROW_SEGMENT> = RowScratch::new();
         for shard in &mut self.shards {
             let t0 = shard.tel.start();
@@ -358,107 +340,38 @@ impl ShardSet {
                 charge: &shard.local_charge,
                 lj_type: &shard.local_lj_type,
             };
-            let sink = RecordSink {
-                records: &mut self.pair_records,
-                row_pairs: &mut self.row_pairs,
-                row_fs: &mut self.row_fs,
-            };
-            let (_, evaluated, cut) = evaluate_rows(
+            shard.image.resize_zeroed(ns);
+            let sink = evaluate_rows(
                 stream,
                 atoms,
                 table,
                 alpha,
                 shard.owned.iter().map(|&s| s as usize),
                 &mut scratch,
-                sink,
+                Accumulate::new(shard.image.fixed_mut()),
             );
-            shard.tel.count_pairs(evaluated, cut);
+            shard.tally = sink.tally;
+            shard.tel.count_pairs(sink.tally.pairs, sink.tally.cut);
+            shard.tel.count_fixedpoint_clamps(sink.tally.clamps);
             shard.tel.stop(Phase::ShortRange, t0);
         }
     }
 
-    /// Stage 2: accumulate the records in the single-image kernel's exact
-    /// (row, pair) order — full-length serial buffer or the fixed
-    /// [`NB_CHUNKS`] chunk-local merge — scattering forces back to
-    /// original atom order. Returns the energies and the cut-pair count,
-    /// bitwise identical to `nonbonded_forces_streamed` at any shard
-    /// count.
-    pub(crate) fn replay(
+    /// Driver side: add every shard's image into `image` (reset to the
+    /// stream's length first) and total their tallies. Integer addition,
+    /// so the shard order does not matter.
+    pub(crate) fn merge_forces(
         &self,
         stream: &NonbondedStream,
-        chunks: &mut [Vec<Vec3>],
-        forces: &mut [Vec3],
-        parallel: bool,
-    ) -> (NonbondedEnergy, u64) {
-        let ns = stream.pos.len();
-        let records = &self.pair_records[..];
-        let row_pairs = &self.row_pairs[..];
-        let row_fs = &self.row_fs[..];
-        if parallel {
-            let bufs = &mut chunks[..NB_CHUNKS];
-            let mut energies = [(NonbondedEnergy::default(), 0u64); NB_CHUNKS];
-            bufs.par_iter_mut()
-                .zip(&mut energies[..])
-                .enumerate()
-                .for_each(|(c, (local, slot))| {
-                    let lo = c * ns / NB_CHUNKS;
-                    let hi = (c + 1) * ns / NB_CHUNKS;
-                    let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
-                    local.resize(len, Vec3::ZERO);
-                    local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                    *slot = replay_rows(
-                        stream,
-                        records,
-                        row_pairs,
-                        row_fs,
-                        lo,
-                        hi,
-                        &stream.partners_local,
-                        local,
-                    );
-                });
-            // Identical deterministic reduction to the streaming kernel:
-            // fixed chunk order, own rows then imports.
-            let mut total = NonbondedEnergy::default();
-            let mut cut = 0u64;
-            for (c, (local, (e, cc))) in bufs.iter().zip(&energies).enumerate() {
-                let lo = c * ns / NB_CHUNKS;
-                let hi = (c + 1) * ns / NB_CHUNKS;
-                let own = hi - lo;
-                for (i, l) in local[..own].iter().enumerate() {
-                    forces[stream.order[lo + i] as usize] += *l;
-                }
-                let ib = stream.import_start[c];
-                for (k, l) in local[own..].iter().enumerate() {
-                    let t = stream.imports[ib + k] as usize;
-                    forces[stream.order[t] as usize] += *l;
-                }
-                total.lj += e.lj;
-                total.coulomb_real += e.coulomb_real;
-                total.virial += e.virial;
-                total.virial_lj += e.virial_lj;
-                cut += cc;
-            }
-            (total, cut)
-        } else {
-            let local = &mut chunks[0];
-            local.resize(ns, Vec3::ZERO);
-            local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-            let (out, cut) = replay_rows(
-                stream,
-                records,
-                row_pairs,
-                row_fs,
-                0,
-                ns,
-                &stream.partners,
-                local,
-            );
-            for (s, l) in local.iter().enumerate() {
-                forces[stream.order[s] as usize] += *l;
-            }
-            (out, cut)
+        image: &mut FixedAccumulator,
+    ) -> Tally {
+        image.resize_zeroed(stream.pos.len());
+        let mut total = Tally::default();
+        for shard in &self.shards {
+            image.merge(&shard.image);
+            total.add(&shard.tally);
         }
+        total
     }
 
     /// Snapshot every shard's accumulated profile (for RunSummary diffs).
@@ -518,62 +431,11 @@ impl ShardSet {
     }
 }
 
-/// The recording sink of [`evaluate_rows`]: instead of accumulating, keep
-/// each row's in-cutoff pairs compacted at the row's CSR start, plus the
-/// row's force sum and pair count, for [`replay_rows`] to accumulate in
-/// canonical order.
-struct RecordSink<'a> {
-    records: &'a mut [PairRecord],
-    row_pairs: &'a mut [u32],
-    row_fs: &'a mut [Vec3],
-}
-
-impl PairSink for RecordSink<'_> {
-    #[inline]
-    fn pair(&mut self, at: usize, rec: PairRecord) {
-        self.records[at] = rec;
-    }
-
-    #[inline]
-    fn row_done(&mut self, s: usize, fs: Vec3, pairs: usize) {
-        self.row_fs[s] = fs;
-        self.row_pairs[s] = pairs as u32;
-    }
-}
-
-/// Accumulate recorded pairs for rows `[lo, hi)` into `local` by feeding
-/// them, row by row and pair by pair, to the same [`Accumulate`] sink the
-/// single-image kernel feeds directly — so every f64 accumulator sees the
-/// identical addition sequence and lands on identical bits.
-#[allow(clippy::too_many_arguments)]
-fn replay_rows(
-    stream: &NonbondedStream,
-    records: &[PairRecord],
-    row_pairs: &[u32],
-    row_fs: &[Vec3],
-    lo: usize,
-    hi: usize,
-    slots: &[u32],
-    local: &mut [Vec3],
-) -> (NonbondedEnergy, u64) {
-    let mut sink = Accumulate::new(slots, lo, local);
-    let mut cut = 0u64;
-    for s in lo..hi {
-        let r0 = stream.start[s];
-        let k = row_pairs[s] as usize;
-        for (at, rec) in (r0..r0 + k).zip(&records[r0..r0 + k]) {
-            sink.pair(at, *rec);
-        }
-        sink.row_done(s, row_fs[s], k);
-        cut += (stream.start[s + 1] - r0 - k) as u64;
-    }
-    (sink.out, cut)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::water_box;
+    use crate::pairkernel::NonbondedEnergy;
     use crate::stream::{nonbonded_forces_streamed, NonbondedWorkspace};
     use crate::system::System;
 
@@ -594,11 +456,7 @@ mod tests {
         s
     }
 
-    fn sharded_forces(
-        system: &System,
-        grid: ShardGrid,
-        parallel: bool,
-    ) -> (Vec<Vec3>, NonbondedEnergy, u64) {
+    fn sharded_forces(system: &System, grid: ShardGrid) -> (Vec<Vec3>, NonbondedEnergy) {
         let table = system.pair_table();
         let mut ws = NonbondedWorkspace::new();
         // Build the stream exactly as the engine would.
@@ -606,11 +464,13 @@ mod tests {
         let mut set = ShardSet::new(grid, TelemetryLevel::Counters);
         set.sync(ws.stream());
         set.exchange(ws.stream(), &mut Telemetry::off());
-        set.record(ws.stream(), &table, system.nb.ewald_alpha);
+        set.evaluate(ws.stream(), &table, system.nb.ewald_alpha);
+        let tally = set.merge_forces(&ws.stream, &mut ws.image);
         let mut f = vec![Vec3::ZERO; system.n_atoms()];
-        let stream = &ws.stream;
-        let (e, cut) = set.replay(stream, &mut ws.chunks, &mut f, parallel);
-        (f, e, cut)
+        let mut tel = Telemetry::off();
+        let t0 = tel.start();
+        let e = ws.finish(&tally, &mut f, &mut tel, t0);
+        (f, e)
     }
 
     #[test]
@@ -628,7 +488,7 @@ mod tests {
                 ShardGrid::new(2, 2, 2),
                 ShardGrid::new(3, 3, 3),
             ] {
-                let (f, e, _) = sharded_forces(&s, grid, parallel);
+                let (f, e) = sharded_forces(&s, grid);
                 assert_eq!(e0.lj.to_bits(), e.lj.to_bits(), "{grid:?}");
                 assert_eq!(
                     e0.coulomb_real.to_bits(),
@@ -680,7 +540,7 @@ mod tests {
         let mut ws = NonbondedWorkspace::new();
         let mut f0 = vec![Vec3::ZERO; s.n_atoms()];
         let e0 = nonbonded_forces_streamed(&s, &table, &mut ws, &mut f0, false);
-        let (f, e, _) = sharded_forces(&s, ShardGrid::new(2, 2, 2), false);
+        let (f, e) = sharded_forces(&s, ShardGrid::new(2, 2, 2));
         assert_eq!(e0.lj.to_bits(), e.lj.to_bits());
         assert_eq!(bits(&f0), bits(&f));
     }

@@ -191,8 +191,10 @@ pub struct Counters {
     pub rebuilds_invalidated: u64,
     /// 1D FFT lines executed across all 3D transforms.
     pub fft_lines: u64,
-    /// Fixed-point force accumulator saturation events (always 0 on the
-    /// floating-point engine path; fed by the co-simulator's accumulators).
+    /// Fixed-point saturation events: pair-stream force components and row
+    /// energy/virial sums beyond ±`MAX_FORCE`, plus whatever a co-simulated
+    /// machine's accumulators report through
+    /// `Engine::record_fixedpoint_clamps`.
     pub fixedpoint_clamps: u64,
     /// Numerical-health watchdog evaluations (NaN/inf force scan +
     /// energy-drift check) performed by `Engine::try_step`.
