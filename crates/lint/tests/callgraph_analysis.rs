@@ -419,8 +419,8 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pairkernel.rs", "pair_interaction_split"),
     ("pairkernel.rs", "pair_interaction"),
     ("pairkernel.rs", "pair_interaction_lanes"),
-    ("erfc.rs", "erfc_exp_fast"),
-    ("erfc.rs", "erfc_exp_fast8"),
+    ("erfc.rs", "eval"),
+    ("erfc.rs", "eval8"),
     ("pairkernel.rs", "lj_shift_at"),
     ("pairkernel.rs", "excluded_corrections"),
     ("pairkernel.rs", "scaled14_corrections"),

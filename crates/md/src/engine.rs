@@ -589,8 +589,9 @@ impl StepWorkspace {
 pub struct Engine {
     pub system: System,
     pub cfg: EngineConfig,
-    /// Baked per-type-pair LJ parameters + cutoff shifts for the streaming
-    /// kernel (rebuilt only if the cutoff changes, i.e. never mid-run).
+    /// Baked per-type-pair LJ parameters + cutoff shifts and the Coulomb
+    /// table for the pair kernels (fixed by the cutoff and α, which never
+    /// change mid-run).
     pair_table: PairTable,
     gse: Option<Gse>,
     ewald: Option<EwaldKSpace>,
@@ -782,7 +783,8 @@ impl Engine {
         self.ledger.lj = nb.lj;
         self.ledger.coulomb_real = nb.coulomb_real;
         let t0 = self.ws.tel.start();
-        let (e_excl, _) = excluded_corrections(&self.system, &mut self.f_short);
+        let (e_excl, _) =
+            excluded_corrections(&self.system, self.pair_table.coulomb(), &mut self.f_short);
         self.ledger.coulomb_excluded = e_excl;
         let (lj14, coul14, _, v14_lj) = scaled14_corrections(&self.system, &mut self.f_short);
         self.ws.tel.stop(Phase::ShortRange, t0);
@@ -830,7 +832,7 @@ impl Engine {
         shards.exchange(&nbws.stream, tel);
 
         let t0 = tel.start();
-        shards.evaluate(&nbws.stream, &self.pair_table, self.system.nb.ewald_alpha);
+        shards.evaluate(&nbws.stream, &self.pair_table);
         let tally = shards.merge_forces(&nbws.stream, &mut nbws.image);
         nbws.finish(&tally, &mut self.f_short, tel, t0)
     }

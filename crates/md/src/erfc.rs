@@ -1,11 +1,12 @@
-//! Complementary error function.
+//! Complementary error function, and the real-space Coulomb table built
+//! from it.
 //!
-//! `erfc` appears in the real-space Ewald kernel on every nonbonded pair, and
-//! `std` does not provide it, so we implement it from scratch: a Maclaurin
-//! series for small arguments and a Lentz-evaluated continued fraction for
-//! large ones. Both branches deliver close to machine precision, which the
-//! energy-conservation tests rely on (a sloppy erfc shows up directly as NVE
-//! drift).
+//! `std` does not provide `erfc`, so we implement it from scratch: a
+//! Maclaurin series for small arguments and a Lentz-evaluated continued
+//! fraction for large ones. Both branches deliver close to machine
+//! precision. The pair kernels never call it per pair: they read the
+//! screened Coulomb functions from a [`CoulombTable`] indexed by r², which
+//! `erfc` builds, and against which it stays the test oracle.
 
 use std::f64::consts::PI;
 
@@ -78,148 +79,153 @@ pub fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
-/// Hermite-interpolated lookup table for `(erfc(x), exp(−x²))` — the two
-/// transcendentals on the pair-kernel hot path. With exact analytic
-/// derivatives at the knots (`erfc' = −2/√π·e^{−x²}`, `(e^{−x²})' =
-/// −2x·e^{−x²}`) and ~1.5e-3 spacing, interpolation error is ~1e-13 —
-/// far below the force precision anything downstream needs.
-struct ErfcExpTable {
-    h_inv: f64,
-    x_max: f64,
-    /// Per knot: (erfc, d/dx erfc, exp(−x²), d/dx exp(−x²)).
-    knots: Vec<(f64, f64, f64, f64)>,
+/// Mantissa bits of s = r² that select a [`CoulombTable`] segment: each
+/// octave of s is cut into 2^`SEGMENT_BITS` segments, 36 KiB at the
+/// production cutoff. Six is the smallest width whose interpolation error
+/// stays below the fixed-point rounding of the same forces
+/// (`tests/accuracy_budget.rs`, which also holds both inside 1 % of the
+/// GSE k-space error); five bits would make the table the larger error.
+pub const SEGMENT_BITS: u32 = 6;
+
+/// Smallest s = r² (Å²) the table covers; closer pairs take the exact path.
+const S_MIN: f64 = 0.25;
+
+const MANTISSA: u64 = (1 << 52) - 1;
+
+/// `(E(s), F(s))` of [`CoulombTable`], exactly.
+fn screened_coulomb(alpha: f64, s: f64) -> (f64, f64) {
+    let r = s.sqrt();
+    let e = erfc(alpha * r) / r;
+    let g = FRAC_2_SQRT_PI * alpha * (-alpha * alpha * s).exp();
+    (e, (e + g) / s)
 }
 
-impl ErfcExpTable {
-    fn build(x_max: f64, n: usize) -> Self {
-        let h = x_max / n as f64;
-        let knots = (0..=n + 1)
-            .map(|k| {
-                let x = k as f64 * h;
-                let e = (-x * x).exp();
-                (erfc(x), -FRAC_2_SQRT_PI * e, e, -2.0 * x * e)
-            })
-            .collect();
-        ErfcExpTable {
-            h_inv: 1.0 / h,
-            x_max,
-            knots,
+/// The screened Coulomb pair functions of the real-space Ewald sum as
+/// piecewise cubics in s = r², the way Anton's PPIPs evaluate pair
+/// functions: no square root, no division and no `erfc` per pair.
+///
+/// * `E(s) = erfc(α√s)/√s` — the pair energy over `C·qᵢqⱼ`;
+/// * `F(s) = (E + 2α/√π·e^{−α²s})/s` — the force over `C·qᵢqⱼ·r`.
+///
+/// The table covers `[2⁻², 2^k)`, 2^k the first power of two at or above
+/// r_c², with 2^[`SEGMENT_BITS`] segments per octave. A segment's index is
+/// the exponent and leading mantissa bits of `s` and its local coordinate
+/// the remaining mantissa bits, so locating `s` needs two shifts and no
+/// gather. Each segment holds the cubic Hermite interpolants of `E` and `F`
+/// through their exact values and derivatives `E′ = −F/2` and
+/// `F′ = −(1.5F + 2α³/√π·e^{−α²s})/s` at its ends. Arguments outside the
+/// table take the exact functions, through the same code on the scalar and
+/// the lane path, so the two agree bit for bit.
+#[derive(Clone, Debug)]
+pub struct CoulombTable {
+    alpha: f64,
+    /// Upper end of the table, 2^k ≥ r_c².
+    s_max: f64,
+    /// `S_MIN.to_bits() >> (52 − SEGMENT_BITS)`: the index of segment 0.
+    base: u64,
+    /// Per segment, the power-basis coefficients in the local coordinate
+    /// t ∈ [0, 1): `E` in `[0..4]`, `F` in `[4..8]`.
+    coef: Vec<[f64; 8]>,
+}
+
+impl CoulombTable {
+    /// Tabulate the pair functions for splitting parameter `alpha` (Å⁻¹)
+    /// over every s below `cutoff_sq` (Å²).
+    pub fn new(alpha: f64, cutoff_sq: f64) -> Self {
+        let octaves = (cutoff_sq.log2().ceil() - S_MIN.log2()).max(0.0) as i32;
+        let s_max = S_MIN * 2f64.powi(octaves);
+        let per_octave = 1usize << SEGMENT_BITS;
+        let mut coef = Vec::with_capacity(octaves as usize * per_octave);
+        let g3 = FRAC_2_SQRT_PI * alpha * alpha * alpha;
+        // Values and s-derivatives of E and F at one knot.
+        let knot = |s: f64| {
+            let (e, f) = screened_coulomb(alpha, s);
+            let d_f = -(1.5 * f + g3 * (-alpha * alpha * s).exp()) / s;
+            (e, -0.5 * f, f, d_f)
+        };
+        for octave in 0..octaves {
+            let width = S_MIN * 2f64.powi(octave) / per_octave as f64;
+            for j in 0..per_octave {
+                let s0 = S_MIN * 2f64.powi(octave) + j as f64 * width;
+                let (e0, de0, f0, df0) = knot(s0);
+                let (e1, de1, f1, df1) = knot(s0 + width);
+                let [a, b] = [(e0, de0, e1, de1), (f0, df0, f1, df1)].map(|(y0, d0, y1, d1)| {
+                    let (d0, d1) = (d0 * width, d1 * width);
+                    [
+                        y0,
+                        d0,
+                        3.0 * (y1 - y0) - 2.0 * d0 - d1,
+                        2.0 * (y0 - y1) + d0 + d1,
+                    ]
+                });
+                coef.push([a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]]);
+            }
+        }
+        CoulombTable {
+            alpha,
+            s_max,
+            base: S_MIN.to_bits() >> (52 - SEGMENT_BITS),
+            coef,
         }
     }
 
-    #[inline]
-    fn eval(&self, x: f64) -> (f64, f64) {
-        let s = x * self.h_inv;
-        let k = s as usize;
-        let t = s - k as f64;
-        let h = 1.0 / self.h_inv;
-        let (f0, d0, g0, gd0) = self.knots[k];
-        let (f1, d1, g1, gd1) = self.knots[k + 1];
-        // Cubic Hermite basis.
-        let t2 = t * t;
-        let t3 = t2 * t;
-        let h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-        let h10 = t3 - 2.0 * t2 + t;
-        let h01 = -2.0 * t3 + 3.0 * t2;
-        let h11 = t3 - t2;
+    /// Whether `s` lies inside the table (false for NaN).
+    #[inline(always)]
+    fn covers(&self, s: f64) -> bool {
+        s >= S_MIN && s < self.s_max
+    }
+
+    /// `(E(s), F(s))` from `erfc` and `exp`: the table's knots, and the
+    /// value for arguments outside it.
+    fn exact(&self, s: f64) -> (f64, f64) {
+        screened_coulomb(self.alpha, s)
+    }
+
+    /// The interpolants at an `s` inside the table.
+    #[inline(always)]
+    fn interpolate(&self, s: f64) -> (f64, f64) {
+        let bits = s.to_bits();
+        let c = &self.coef[((bits >> (52 - SEGMENT_BITS)) - self.base) as usize];
+        let t = f64::from_bits(((bits << SEGMENT_BITS) & MANTISSA) | 1f64.to_bits()) - 1.0;
         (
-            h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1,
-            h00 * g0 + h10 * h * gd0 + h01 * g1 + h11 * h * gd1,
+            c[0] + t * (c[1] + t * (c[2] + t * c[3])),
+            c[4] + t * (c[5] + t * (c[6] + t * c[7])),
         )
     }
-}
 
-fn table() -> &'static ErfcExpTable {
-    static TABLE: std::sync::OnceLock<ErfcExpTable> = std::sync::OnceLock::new();
-    // x up to 6 covers every α·r the kernels produce (α·rc ≈ 3 in
-    // production; adaptive small-box settings stay below 4).
-    TABLE.get_or_init(|| ErfcExpTable::build(6.0, 4096))
-}
-
-/// Fast `(erfc(x), exp(−x²))` for the pair-kernel hot path: table-driven on
-/// `[0, 6)`, exact fallback outside. Absolute error < 1e-12.
-#[inline]
-pub fn erfc_exp_fast(x: f64) -> (f64, f64) {
-    let t = table();
-    if (0.0..t.x_max).contains(&x) {
-        t.eval(x)
-    } else {
-        (erfc(x), (-x * x).exp())
-    }
-}
-
-/// Eight-lane [`erfc_exp_fast`]: one table fetch hoisted out of the lane
-/// loop, knot gathers up front, and the Hermite polynomial evaluated over
-/// flat `[f64; 8]` lane arrays so the compiler can autovectorize it. Each
-/// lane is **bitwise identical** to the scalar `erfc_exp_fast` at the same
-/// argument (same expression tree, same table), which the lane-batched pair
-/// kernel's equivalence test relies on.
-///
-/// # Accuracy
-/// Interpolation error is bounded in *absolute* terms: `< 1e-12` for both
-/// outputs over the whole table domain (asserted by
-/// `fast_kernel_matches_reference_over_cutoff_range`). In ulp terms the
-/// bound is argument-dependent because both functions decay like `e^{−x²}`
-/// while the error does not: measured against the scalar reference
-/// (`tests::table_ulp_error_is_bounded`), the worst case is ≤ 3×10³ ulp of
-/// `erfc` on `x ∈ [0, 1]` (≈ 8×10⁻¹⁴ absolute) where the real-space Ewald
-/// kernel does nearly all of its work, and ≤ 5×10⁵ ulp on `x ∈ [0, 3.5]`
-/// (values ≥ 7×10⁻⁷). Beyond `x ≈ 4` the absolute bound still holds but
-/// relative error grows unboundedly — acceptable because `erfc(4) < 2e-8`
-/// is below force precision for any pair the cutoff admits.
-#[inline]
-pub fn erfc_exp_fast8(x: &[f64; 8]) -> ([f64; 8], [f64; 8]) {
-    let t = table();
-    let h = 1.0 / t.h_inv;
-    let mut frac = [0.0f64; 8];
-    let mut f0 = [0.0f64; 8];
-    let mut d0 = [0.0f64; 8];
-    let mut g0 = [0.0f64; 8];
-    let mut gd0 = [0.0f64; 8];
-    let mut f1 = [0.0f64; 8];
-    let mut d1 = [0.0f64; 8];
-    let mut g1 = [0.0f64; 8];
-    let mut gd1 = [0.0f64; 8];
-    let mut in_table = [true; 8];
-    for l in 0..8 {
-        if (0.0..t.x_max).contains(&x[l]) {
-            let s = x[l] * t.h_inv;
-            let k = s as usize;
-            frac[l] = s - k as f64;
-            let (a, b, c, d) = t.knots[k];
-            f0[l] = a;
-            d0[l] = b;
-            g0[l] = c;
-            gd0[l] = d;
-            let (a, b, c, d) = t.knots[k + 1];
-            f1[l] = a;
-            d1[l] = b;
-            g1[l] = c;
-            gd1[l] = d;
+    /// `(E(s), F(s))` for one pair at squared distance `s > 0`.
+    #[inline]
+    pub fn eval(&self, s: f64) -> (f64, f64) {
+        if self.covers(s) {
+            self.interpolate(s)
         } else {
-            in_table[l] = false;
+            self.exact(s)
         }
     }
-    let mut fe = [0.0f64; 8];
-    let mut fg = [0.0f64; 8];
-    for l in 0..8 {
-        let tt = frac[l];
-        let t2 = tt * tt;
-        let t3 = t2 * tt;
-        let h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-        let h10 = t3 - 2.0 * t2 + tt;
-        let h01 = -2.0 * t3 + 3.0 * t2;
-        let h11 = t3 - t2;
-        fe[l] = h00 * f0[l] + h10 * h * d0[l] + h01 * f1[l] + h11 * h * d1[l];
-        fg[l] = h00 * g0[l] + h10 * h * gd0[l] + h01 * g1[l] + h11 * h * gd1[l];
-    }
-    for l in 0..8 {
-        if !in_table[l] {
-            fe[l] = erfc(x[l]);
-            fg[l] = (-x[l] * x[l]).exp();
+
+    /// Eight-lane [`eval`](Self::eval): every lane is located and
+    /// interpolated branch-free (a lane outside the table reads segment 0),
+    /// then a cold loop gives out-of-table lanes their exact values. Each
+    /// lane is bitwise identical to `eval` of its argument.
+    #[inline]
+    pub fn eval8(&self, s: &[f64; 8]) -> ([f64; 8], [f64; 8]) {
+        let mut e = [0.0f64; 8];
+        let mut f = [0.0f64; 8];
+        let mut cold = false;
+        for l in 0..8 {
+            let inside = self.covers(s[l]);
+            cold |= !inside;
+            (e[l], f[l]) = self.interpolate(if inside { s[l] } else { S_MIN });
         }
+        if cold {
+            for l in 0..8 {
+                if !self.covers(s[l]) {
+                    (e[l], f[l]) = self.exact(s[l]);
+                }
+            }
+        }
+        (e, f)
     }
-    (fe, fg)
 }
 
 #[cfg(test)]
@@ -254,39 +260,6 @@ mod tests {
             assert!(
                 (got - want).abs() <= tol.max(1e-18),
                 "erfc({x}) = {got}, want {want}"
-            );
-        }
-    }
-
-    /// Pin the table-driven hot-path kernel against the reference `erfc`
-    /// and `exp(−x²)` over the whole argument range the pair kernels
-    /// produce (α·r runs from 0 to ≈ α·(r_c + skin) ≈ 4 in production;
-    /// sweep all the way to the table edge at 6 and past it to cover the
-    /// exact-fallback branch). The doc contract is < 1e-12 absolute error.
-    #[test]
-    fn fast_kernel_matches_reference_over_cutoff_range() {
-        let mut worst_e = 0.0f64;
-        let mut worst_g = 0.0f64;
-        // Step is irrational w.r.t. the 6/4096 knot spacing, so the sweep
-        // lands between knots where Hermite interpolation error peaks.
-        let mut x = 0.0;
-        while x < 6.0 {
-            let (fe, fg) = erfc_exp_fast(x);
-            worst_e = worst_e.max((fe - erfc(x)).abs());
-            worst_g = worst_g.max((fg - (-x * x).exp()).abs());
-            x += 0.000_711;
-        }
-        assert!(worst_e < 1e-12, "erfc table error {worst_e}");
-        assert!(worst_g < 1e-12, "exp table error {worst_g}");
-
-        // Outside the table the kernel must fall back to the exact values.
-        for x in [6.0, 6.5, 9.25, -0.5] {
-            let (fe, fg) = erfc_exp_fast(x);
-            assert_eq!(fe.to_bits(), erfc(x).to_bits(), "fallback erfc at {x}");
-            assert_eq!(
-                fg.to_bits(),
-                (-x * x).exp().to_bits(),
-                "fallback exp at {x}"
             );
         }
     }
@@ -340,83 +313,69 @@ mod tests {
         assert!((erfc(-30.0) - 2.0).abs() < 1e-15);
     }
 
+    /// The table against `erfc`, segment by segment, within the cubic
+    /// Hermite bound `max|y⁗|·w⁴/384` for a segment of width
+    /// `w = 2^(octave − SEGMENT_BITS)`. The fourth derivative is estimated
+    /// by the fourth difference of the exact function at step w/2, so the
+    /// bound is `|Δ⁴y|/24`; a factor 2 covers the derivative's variation
+    /// over the segment, and 8 ulp the rounding of the cubic itself.
     #[test]
-    fn fast_table_matches_exact() {
-        for k in 0..6000 {
-            let x = k as f64 * 1e-3;
-            let (fe, fg) = erfc_exp_fast(x);
-            assert!(
-                (fe - erfc(x)).abs() < 1e-12,
-                "erfc at {x}: {} vs {}",
-                fe,
-                erfc(x)
-            );
-            assert!((fg - (-x * x).exp()).abs() < 1e-12, "exp at {x}");
-        }
-    }
-
-    #[test]
-    fn fast_table_fallback_outside_range() {
-        for &x in &[-0.5, 6.0, 7.3, 100.0] {
-            let (fe, fg) = erfc_exp_fast(x);
-            assert_eq!(fe, erfc(x));
-            assert_eq!(fg, (-x * x).exp());
-        }
-    }
-
-    #[test]
-    fn lane_kernel_is_bitwise_identical_to_scalar() {
-        // Mixed in-table, fallback, and negative arguments in one batch.
-        let xs = [0.0, 0.37, 1.234567, 2.999, 5.9999, 6.0, 9.5, -0.25];
-        let (fe, fg) = erfc_exp_fast8(&xs);
-        for l in 0..8 {
-            let (se, sg) = erfc_exp_fast(xs[l]);
-            assert_eq!(fe[l].to_bits(), se.to_bits(), "erfc lane {l}");
-            assert_eq!(fg[l].to_bits(), sg.to_bits(), "exp lane {l}");
-        }
-    }
-
-    /// Ulp distance between two finite nonnegative doubles.
-    fn ulps(a: f64, b: f64) -> u64 {
-        a.to_bits().abs_diff(b.to_bits())
-    }
-
-    #[test]
-    fn table_ulp_error_is_bounded() {
-        // The documented max-ulp contract of `erfc_exp_fast8`: sweep off-knot
-        // arguments and compare to the scalar reference. The erfc bound is
-        // argument-dependent (absolute error vs a decaying function); the
-        // exp(−x²) output keeps a tight relative error much further out.
-        let mut worst_small = 0u64; // erfc on [0, 1]
-        let mut worst_mid = 0u64; // erfc on [0, 3.5]
-        let mut worst_exp = 0u64; // exp(−x²) on [0, 3.5]
-        let mut x = 1e-6;
-        while x < 3.5 {
-            let (fe, fg) = erfc_exp_fast(x);
-            let e = ulps(fe, erfc(x));
-            let g = ulps(fg, (-x * x).exp());
-            if x <= 1.0 {
-                worst_small = worst_small.max(e);
+    fn table_error_within_hermite_bound() {
+        for (alpha, cutoff) in [(0.35, 9.0), (1.0 / 3.0, 9.0), (0.6, 5.0)] {
+            let table = CoulombTable::new(alpha, cutoff * cutoff);
+            let per_octave = 1usize << SEGMENT_BITS;
+            for k in 0..table.coef.len() {
+                let octave = (k / per_octave) as i32;
+                let w = S_MIN * 2f64.powi(octave) / per_octave as f64;
+                let s0 = S_MIN * 2f64.powi(octave) + (k % per_octave) as f64 * w;
+                let y = |s: f64| table.exact(s);
+                let p: Vec<(f64, f64)> =
+                    (0..5).map(|i| y(s0 + (i as f64 - 1.0) * w / 2.0)).collect();
+                let d4 = |g: fn(&(f64, f64)) -> f64| {
+                    (g(&p[0]) - 4.0 * g(&p[1]) + 6.0 * g(&p[2]) - 4.0 * g(&p[3]) + g(&p[4])).abs()
+                };
+                let bound = [d4(|v| v.0) / 24.0, d4(|v| v.1) / 24.0];
+                for t in [0.0, 0.1127, 0.2113, 0.5, 0.7887, 0.8873] {
+                    let s = s0 + t * w;
+                    let (e, f) = table.eval(s);
+                    let (ee, fe) = table.exact(s);
+                    for (c, (got, want)) in [(e, ee), (f, fe)].into_iter().enumerate() {
+                        let err = (got - want).abs();
+                        assert!(
+                            err <= 2.0 * bound[c] + 8.0 * f64::EPSILON * want.abs(),
+                            "α {alpha}, s {s}: {got} vs {want}, bound {}",
+                            bound[c]
+                        );
+                    }
+                }
             }
-            worst_mid = worst_mid.max(e);
-            worst_exp = worst_exp.max(g);
-            x += 0.000_317; // irrational w.r.t. knot spacing: lands off-knot
         }
-        // Measured worsts: small=1372, mid=222027, exp=176946 (the doc
-        // contract of `erfc_exp_fast8`); bounds leave ~2× headroom so the
-        // test pins the order of magnitude, not the exact rounding.
-        assert!(
-            worst_small <= 3_000,
-            "erfc ulp error on [0,1]: {worst_small}"
-        );
-        assert!(
-            worst_mid <= 500_000,
-            "erfc ulp error on [0,3.5]: {worst_mid}"
-        );
-        assert!(
-            worst_exp <= 400_000,
-            "exp ulp error on [0,3.5]: {worst_exp}"
-        );
+        // At the production cutoff the table fits in 80 KB.
+        let table = CoulombTable::new(0.35, 81.0);
+        assert_eq!(table.coef.len(), 9 << SEGMENT_BITS);
+        assert!(table.coef.len() * std::mem::size_of::<[f64; 8]>() <= 80 * 1024);
+    }
+
+    #[test]
+    fn table_lanes_match_scalar_and_exact_outside() {
+        let table = CoulombTable::new(0.35, 81.0);
+        // In the table, on a knot, below it, at and beyond its top.
+        let xs = [6.25, 0.37, 1.0, 80.99, 0.1, 128.0, 300.0, 0.25];
+        let (e, f) = table.eval8(&xs);
+        for l in 0..8 {
+            let (se, sf) = table.eval(xs[l]);
+            assert_eq!(e[l].to_bits(), se.to_bits(), "E lane {l}");
+            assert_eq!(f[l].to_bits(), sf.to_bits(), "F lane {l}");
+        }
+        for &x in &[0.1, 0.2499, 128.0, 300.0] {
+            let (e, f) = table.eval(x);
+            let (ee, fe) = table.exact(x);
+            assert_eq!((e.to_bits(), f.to_bits()), (ee.to_bits(), fe.to_bits()));
+        }
+        // A knot reproduces the exact values it was built from.
+        let (e, f) = table.eval(1.0);
+        let (ee, fe) = table.exact(1.0);
+        assert_eq!((e, f), (ee, fe));
     }
 
     #[test]

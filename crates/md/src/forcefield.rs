@@ -1,5 +1,6 @@
 //! Lennard-Jones parameter tables and nonbonded interaction settings.
 
+use crate::erfc::CoulombTable;
 use serde::{Deserialize, Serialize};
 
 /// Per-type Lennard-Jones parameters: well depth ε (kcal/mol) and
@@ -74,21 +75,24 @@ pub struct PairEntry {
     pub shift: f64,
 }
 
-/// Fully resolved per-type-pair parameters for a fixed cutoff: the lookup a
-/// streaming kernel does instead of calling [`ForceField::lj`] +
-/// `lj_shift_at` per pair per step.
+/// Fully resolved pair parameters for a fixed cutoff and Ewald splitting:
+/// the LJ lookup a streaming kernel does instead of calling
+/// [`ForceField::lj`] and `lj_shift_at` per pair per step, and the
+/// r²-indexed table of the screened Coulomb functions.
 #[derive(Clone, Debug)]
 pub struct PairTable {
     n_types: usize,
     entries: Vec<PairEntry>,
+    coulomb: CoulombTable,
     /// Squared cutoff the shifts were baked for.
     pub cutoff_sq: f64,
 }
 
 impl PairTable {
     /// Bake the combined-parameter table of `ff` together with the
-    /// potential-shift at `cutoff` (Å).
-    pub fn new(ff: &ForceField, cutoff: f64) -> Self {
+    /// potential-shift at `cutoff` (Å), and the Coulomb table for splitting
+    /// parameter `alpha` (Å⁻¹) over the same cutoff.
+    pub fn new(ff: &ForceField, cutoff: f64, alpha: f64) -> Self {
         let n = ff.n_types();
         let cutoff_sq = cutoff * cutoff;
         let r6_inv = 1.0 / (cutoff_sq * cutoff_sq * cutoff_sq);
@@ -106,8 +110,15 @@ impl PairTable {
         PairTable {
             n_types: n,
             entries,
+            coulomb: CoulombTable::new(alpha, cutoff_sq),
             cutoff_sq,
         }
+    }
+
+    /// The screened Coulomb table every real-space caller reads.
+    #[inline]
+    pub fn coulomb(&self) -> &CoulombTable {
+        &self.coulomb
     }
 
     /// Number of LJ types the table covers.
@@ -266,7 +277,7 @@ mod tests {
     fn pair_table_matches_lj_plus_shift() {
         let ff = ForceField::standard();
         let cutoff = 9.0;
-        let table = PairTable::new(&ff, cutoff);
+        let table = PairTable::new(&ff, cutoff, 0.35);
         assert_eq!(table.n_types(), ff.n_types());
         let cutoff_sq = cutoff * cutoff;
         for i in 0..ff.n_types() as u32 {

@@ -5,14 +5,11 @@
 //! atom pair; the machine co-simulator calls into the same functions so the
 //! simulated hardware produces real forces.
 
-use crate::erfc::{erfc, erfc_exp_fast, erfc_exp_fast8};
+use crate::erfc::CoulombTable;
 use crate::system::System;
 use crate::topology::Exclusions;
 use crate::units::COULOMB;
 use crate::vec3::Vec3;
-
-/// 2/sqrt(pi), used in the Ewald real-space force.
-const TWO_OVER_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 
 /// Energy/virial tallies from a nonbonded evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -41,7 +38,7 @@ impl NonbondedEnergy {
 /// force-over-r times the displacement vector gives the force on atom `i`
 /// (positive = repulsive). `lj_shift` is the LJ energy at the cutoff, which
 /// is subtracted to keep the potential continuous (standard potential-shift
-/// truncation).
+/// truncation). The screened Coulomb part is read from `coulomb` by r².
 #[inline]
 pub fn pair_interaction_split(
     r_sq: f64,
@@ -49,34 +46,26 @@ pub fn pair_interaction_split(
     lj_b: f64,
     lj_shift: f64,
     qq: f64,
-    alpha: f64,
+    coulomb: &CoulombTable,
 ) -> (f64, f64, f64, f64) {
     let r2_inv = 1.0 / r_sq;
     let r6_inv = r2_inv * r2_inv * r2_inv;
     let e_lj = (lj_a * r6_inv - lj_b) * r6_inv - lj_shift;
     let f_lj = (12.0 * lj_a * r6_inv - 6.0 * lj_b) * r6_inv * r2_inv;
-
-    let r = r_sq.sqrt();
-    let r_inv = 1.0 / r;
-    let ar = alpha * r;
-    let (erfc_ar, exp_ar) = erfc_exp_fast(ar);
-    let e_coul = COULOMB * qq * erfc_ar * r_inv;
-    // F/r = qqC [erfc(αr)/r + 2α/√π e^{−α²r²}] / r²
-    let f_coul = COULOMB * qq * (erfc_ar * r_inv + TWO_OVER_SQRT_PI * alpha * exp_ar) * r2_inv;
-
-    (f_lj, f_coul, e_lj, e_coul)
+    let (e, f) = coulomb.eval(r_sq);
+    (f_lj, COULOMB * qq * f, e_lj, COULOMB * qq * e)
 }
 
 /// Lane width of the batched pair kernel ([`pair_interaction_lanes`]);
-/// matches the `[f64; 8]` batch of `erfc::erfc_exp_fast8`.
+/// matches the `[f64; 8]` batch of [`CoulombTable::eval8`].
 pub const LANES: usize = 8;
 
 /// Eight-lane [`pair_interaction_split`]: all inputs and outputs are flat
-/// `[f64; LANES]` lane arrays so the LJ polynomial, the reciprocal/sqrt
-/// chain, and the screened-Coulomb arithmetic autovectorize. Each lane
-/// computes exactly the scalar expression tree on its own inputs, so lane
-/// `l` is bitwise identical to `pair_interaction_split(r_sq[l], …)`
-/// (asserted by `tests::lane_kernel_matches_scalar_bitwise`).
+/// `[f64; LANES]` lane arrays so the LJ polynomial, the table lookup and
+/// the Coulomb products autovectorize. Each lane computes exactly the
+/// scalar expression tree on its own inputs, so lane `l` is bitwise
+/// identical to `pair_interaction_split(r_sq[l], …)` (asserted by
+/// `tests::lane_kernel_matches_scalar_bitwise`).
 ///
 /// Callers handle rejected or padded lanes *outside* this function (the
 /// stream compresses in-cutoff pairs into lanes and simply never reads the
@@ -89,31 +78,22 @@ pub fn pair_interaction_lanes(
     lj_b: &[f64; LANES],
     lj_shift: &[f64; LANES],
     qq: &[f64; LANES],
-    alpha: f64,
+    coulomb: &CoulombTable,
     f_lj: &mut [f64; LANES],
     f_coul: &mut [f64; LANES],
     e_lj: &mut [f64; LANES],
     e_coul: &mut [f64; LANES],
 ) {
-    let mut ar = [0.0f64; LANES];
-    let mut r2_inv = [0.0f64; LANES];
-    let mut r_inv = [0.0f64; LANES];
     for l in 0..LANES {
-        r2_inv[l] = 1.0 / r_sq[l];
-        let r6_inv = r2_inv[l] * r2_inv[l] * r2_inv[l];
+        let r2_inv = 1.0 / r_sq[l];
+        let r6_inv = r2_inv * r2_inv * r2_inv;
         e_lj[l] = (lj_a[l] * r6_inv - lj_b[l]) * r6_inv - lj_shift[l];
-        f_lj[l] = (12.0 * lj_a[l] * r6_inv - 6.0 * lj_b[l]) * r6_inv * r2_inv[l];
-        let r = r_sq[l].sqrt();
-        r_inv[l] = 1.0 / r;
-        ar[l] = alpha * r;
+        f_lj[l] = (12.0 * lj_a[l] * r6_inv - 6.0 * lj_b[l]) * r6_inv * r2_inv;
     }
-    let (erfc_ar, exp_ar) = erfc_exp_fast8(&ar);
+    let (e, f) = coulomb.eval8(r_sq);
     for l in 0..LANES {
-        e_coul[l] = COULOMB * qq[l] * erfc_ar[l] * r_inv[l];
-        f_coul[l] = COULOMB
-            * qq[l]
-            * (erfc_ar[l] * r_inv[l] + TWO_OVER_SQRT_PI * alpha * exp_ar[l])
-            * r2_inv[l];
+        e_coul[l] = COULOMB * qq[l] * e[l];
+        f_coul[l] = COULOMB * qq[l] * f[l];
     }
 }
 
@@ -126,10 +106,10 @@ pub fn pair_interaction(
     lj_b: f64,
     lj_shift: f64,
     qq: f64,
-    alpha: f64,
+    coulomb: &CoulombTable,
 ) -> (f64, f64, f64) {
     let (f_lj, f_coul, e_lj, e_coul) =
-        pair_interaction_split(r_sq, lj_a, lj_b, lj_shift, qq, alpha);
+        pair_interaction_split(r_sq, lj_a, lj_b, lj_shift, qq, coulomb);
     (f_lj + f_coul, e_lj, e_coul)
 }
 
@@ -146,7 +126,7 @@ pub fn nonbonded_forces(
     forces: &mut [Vec3],
 ) -> NonbondedEnergy {
     let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let alpha = system.nb.ewald_alpha;
+    let coulomb = CoulombTable::new(system.nb.ewald_alpha, cutoff_sq);
     let top = &system.topology;
     let ff = &system.forcefield;
     let mut out = NonbondedEnergy::default();
@@ -166,7 +146,7 @@ pub fn nonbonded_forces(
             let lj = ff.lj(ti, top.lj_types[j]);
             let shift = lj_shift_at(lj.a, lj.b, cutoff_sq);
             let (f_lj, f_coul, e_lj, e_coul) =
-                pair_interaction_split(r_sq, lj.a, lj.b, shift, qi * top.charges[j], alpha);
+                pair_interaction_split(r_sq, lj.a, lj.b, shift, qi * top.charges[j], &coulomb);
             let f_over_r = f_lj + f_coul;
             let f = d * f_over_r;
             fi += f;
@@ -190,9 +170,15 @@ pub fn lj_shift_at(lj_a: f64, lj_b: f64, cutoff_sq: f64) -> f64 {
 
 /// Corrections that cancel the k-space contribution of *fully excluded*
 /// pairs: each excluded pair (i,j) receives `−qᵢqⱼC·erf(αr)/r`, the exact
-/// negative of what the reciprocal sum adds for that pair.
-pub fn excluded_corrections(system: &System, forces: &mut [Vec3]) -> (f64, f64) {
-    let alpha = system.nb.ewald_alpha;
+/// negative of what the reciprocal sum adds for that pair. The screened
+/// part comes from the same table as the pair stream's:
+/// `erf(αr)/r = 1/r − E(r²)`, and the force over r is
+/// `−qᵢqⱼC·(1/(r·r²) − F(r²))`.
+pub fn excluded_corrections(
+    system: &System,
+    coulomb: &CoulombTable,
+    forces: &mut [Vec3],
+) -> (f64, f64) {
     let top = &system.topology;
     let mut energy = 0.0;
     let mut virial = 0.0;
@@ -202,21 +188,18 @@ pub fn excluded_corrections(system: &System, forces: &mut [Vec3]) -> (f64, f64) 
             if j <= i {
                 continue; // each unordered pair once
             }
-            let d = system
-                .pbc
-                .min_image(system.positions[i], system.positions[j]);
-            let r_sq = d.norm_sq();
-            let r = r_sq.sqrt();
             let qq = top.charges[i] * top.charges[j];
             if qq == 0.0 {
                 continue;
             }
-            let ar = alpha * r;
-            let erf_ar = 1.0 - erfc(ar);
-            let e = -COULOMB * qq * erf_ar / r;
-            // d/dr[−erf(αr)/r] gives F/r = −qqC[erf(αr)/r − 2α/√π e^{−α²r²}]/r².
-            let f_over_r =
-                -COULOMB * qq * (erf_ar / r - TWO_OVER_SQRT_PI * alpha * (-ar * ar).exp()) / r_sq;
+            let d = system
+                .pbc
+                .min_image(system.positions[i], system.positions[j]);
+            let r_sq = d.norm_sq();
+            let r_inv = 1.0 / r_sq.sqrt();
+            let (e_screened, f_screened) = coulomb.eval(r_sq);
+            let e = -COULOMB * qq * (r_inv - e_screened);
+            let f_over_r = -COULOMB * qq * (r_inv / r_sq - f_screened);
             let f = d * f_over_r;
             forces[i] += f;
             forces[j] -= f;
@@ -430,7 +413,7 @@ mod tests {
         assert_eq!(f[0], Vec3::ZERO);
         // The k-space compensation is nonzero and attractive-compensating.
         let mut fc = vec![Vec3::ZERO; 2];
-        let (e_corr, _) = excluded_corrections(&s, &mut fc);
+        let (e_corr, _) = excluded_corrections(&s, s.pair_table().coulomb(), &mut fc);
         // qq < 0 so −qqC·erf/r > 0.
         assert!(e_corr > 0.0);
         assert!((fc[0] + fc[1]).norm() < 1e-12);
@@ -469,8 +452,8 @@ mod tests {
         let lj_a = [5.0e5, 3.1e5, 0.0, 7.7e4, 1.2e6, 9.9e5, 4.4e5, 2.0e5];
         let lj_b = [600.0, 420.0, 0.0, 95.0, 1.1e3, 870.0, 510.0, 330.0];
         let qq = [0.1681, -0.3469, 0.0, 0.2891, -0.1681, 0.0841, -0.41, 0.17];
-        let alpha = 0.32;
         let cutoff_sq = 81.0;
+        let coulomb = CoulombTable::new(0.32, cutoff_sq);
         let mut shift = [0.0; LANES];
         for l in 0..LANES {
             shift[l] = lj_shift_at(lj_a[l], lj_b[l], cutoff_sq);
@@ -483,7 +466,7 @@ mod tests {
             &lj_b,
             &shift,
             &qq,
-            alpha,
+            &coulomb,
             &mut f_lj,
             &mut f_coul,
             &mut e_lj,
@@ -491,7 +474,7 @@ mod tests {
         );
         for l in 0..LANES {
             let (sf_lj, sf_coul, se_lj, se_coul) =
-                pair_interaction_split(r_sq[l], lj_a[l], lj_b[l], shift[l], qq[l], alpha);
+                pair_interaction_split(r_sq[l], lj_a[l], lj_b[l], shift[l], qq[l], &coulomb);
             assert_eq!(f_lj[l].to_bits(), sf_lj.to_bits(), "f_lj lane {l}");
             assert_eq!(f_coul[l].to_bits(), sf_coul.to_bits(), "f_coul lane {l}");
             assert_eq!(e_lj[l].to_bits(), se_lj.to_bits(), "e_lj lane {l}");

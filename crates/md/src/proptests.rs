@@ -245,7 +245,6 @@ proptest! {
         use rand::{seq::SliceRandom, Rng, SeedableRng};
 
         let table = system.pair_table();
-        let alpha = system.nb.ewald_alpha;
         let mut ws = NonbondedWorkspace::new();
         ws.stream.ensure(&system);
         let stream = ws.stream();
@@ -257,7 +256,6 @@ proptest! {
                 stream,
                 stream.atoms(),
                 &table,
-                alpha,
                 rows.iter().copied(),
                 &mut scratch,
                 Accumulate::new(image.fixed_mut()),

@@ -330,7 +330,7 @@ impl ShardSet {
     /// shard touched only its planned region — and adds the pair forces
     /// into its own fixed-point image. Serial over shards, timed and
     /// counted per shard; writes nothing outside the shards.
-    pub(crate) fn evaluate(&mut self, stream: &NonbondedStream, table: &PairTable, alpha: f64) {
+    pub(crate) fn evaluate(&mut self, stream: &NonbondedStream, table: &PairTable) {
         let ns = stream.pos.len();
         let mut scratch: RowScratch<ROW_SEGMENT> = RowScratch::new();
         for shard in &mut self.shards {
@@ -345,7 +345,6 @@ impl ShardSet {
                 stream,
                 atoms,
                 table,
-                alpha,
                 shard.owned.iter().map(|&s| s as usize),
                 &mut scratch,
                 Accumulate::new(shard.image.fixed_mut()),
@@ -464,7 +463,7 @@ mod tests {
         let mut set = ShardSet::new(grid, TelemetryLevel::Counters);
         set.sync(ws.stream());
         set.exchange(ws.stream(), &mut Telemetry::off());
-        set.evaluate(ws.stream(), &table, system.nb.ewald_alpha);
+        set.evaluate(ws.stream(), &table);
         let tally = set.merge_forces(&ws.stream, &mut ws.image);
         let mut f = vec![Vec3::ZERO; system.n_atoms()];
         let mut tel = Telemetry::off();

@@ -29,8 +29,9 @@
 //! single image, worker or shard — goes through one row evaluator,
 //! `evaluate_rows`, which works match-then-compute like the HTIS: pass A
 //! distance-tests a row's candidates and compacts the survivors, pass B
-//! runs them [`LANES`] at a time through the table-driven
-//! [`crate::erfc::erfc_exp_fast8`] spline kernel, converts each pair force
+//! runs them [`LANES`] at a time through [`pair_interaction_lanes`], which
+//! reads the screened Coulomb functions from the r²-indexed
+//! [`crate::erfc::CoulombTable`], converts each pair force
 //! once to fixed point ([`crate::fixedpoint`]) and hands it to the one
 //! integer sink. Integer addition is associative, so which evaluator takes
 //! which rows, and in what order the workers' or shards' full-length
@@ -686,7 +687,6 @@ pub(crate) fn evaluate_rows<'a, const SEG: usize>(
     stream: &NonbondedStream,
     atoms: SlotData<'_>,
     table: &PairTable,
-    alpha: f64,
     rows: impl Iterator<Item = usize>,
     scratch: &mut RowScratch<SEG>,
     mut sink: Accumulate<'a>,
@@ -756,7 +756,7 @@ pub(crate) fn evaluate_rows<'a, const SEG: usize>(
                     &lj_b,
                     &lj_shift,
                     &qq,
-                    alpha,
+                    table.coulomb(),
                     &mut f_lj,
                     &mut f_coul,
                     &mut e_lj,
@@ -837,7 +837,6 @@ pub fn nonbonded_forces_streamed_profiled(
         ..
     } = ws;
     let ns = stream.pos.len();
-    let alpha = system.nb.ewald_alpha;
     image.resize_zeroed(ns);
 
     // One contiguous row range and one full-length image per worker; the
@@ -858,7 +857,6 @@ pub fn nonbonded_forces_streamed_profiled(
             stream,
             stream.atoms(),
             table,
-            alpha,
             c * ns / n..(c + 1) * ns / n,
             &mut scratch,
             Accumulate::new(part.image.fixed_mut()),
@@ -954,7 +952,6 @@ mod tests {
     fn stream_rows(
         stream: &NonbondedStream,
         table: &PairTable,
-        alpha: f64,
         lo: usize,
         hi: usize,
         local: &mut [[i64; 3]],
@@ -1024,7 +1021,7 @@ mod tests {
                     &lj_b,
                     &lj_shift,
                     &qq,
-                    alpha,
+                    table.coulomb(),
                     &mut f_lj,
                     &mut f_coul,
                     &mut e_lj,
@@ -1075,7 +1072,6 @@ mod tests {
     /// count. Returns (candidates, cut, longest row).
     fn assert_evaluator_matches_oracle<const SEG: usize>(system: &System) -> (u64, u64, usize) {
         let table = system.pair_table();
-        let alpha = system.nb.ewald_alpha;
         let mut ws = NonbondedWorkspace::new();
         ws.stream.ensure(system);
         let stream = &ws.stream;
@@ -1095,14 +1091,13 @@ mod tests {
         let mut total_cut = 0;
         for (lo, hi) in spans {
             let mut want = vec![[0i64; 3]; ns];
-            let (e_want, cut_want) = stream_rows(stream, &table, alpha, lo, hi, &mut want);
+            let (e_want, cut_want) = stream_rows(stream, &table, lo, hi, &mut want);
             let mut got = vec![[0i64; 3]; ns];
             let mut scratch: RowScratch<SEG> = RowScratch::new();
             let tally = evaluate_rows(
                 stream,
                 stream.atoms(),
                 &table,
-                alpha,
                 lo..hi,
                 &mut scratch,
                 Accumulate::new(&mut got),

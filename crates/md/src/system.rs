@@ -135,10 +135,10 @@ impl System {
         self.n_atoms() as f64 / self.pbc.volume()
     }
 
-    /// Bake the per-type-pair parameter table for this system's force field
-    /// at its configured cutoff (input to the streaming kernel).
+    /// Bake the pair table for this system's force field at its configured
+    /// cutoff and Ewald splitting (input to every real-space pair kernel).
     pub fn pair_table(&self) -> PairTable {
-        PairTable::new(&self.forcefield, self.nb.cutoff)
+        PairTable::new(&self.forcefield, self.nb.cutoff, self.nb.ewald_alpha)
     }
 }
 

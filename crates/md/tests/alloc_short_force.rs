@@ -66,7 +66,7 @@ fn short_force_path_allocates_nothing_after_warmup() {
         let mut tel = Telemetry::off();
         forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
         let e = nonbonded_forces_streamed_profiled(&s, &table, ws, forces, false, &mut tel);
-        let (e_excl, _) = excluded_corrections(&s, forces);
+        let (e_excl, _) = excluded_corrections(&s, table.coulomb(), forces);
         let (lj14, coul14, _, _) = scaled14_corrections(&s, forces);
         assert_eq!(tel.profile().total_ns(), 0);
         assert_eq!(tel.profile().counters.pairs_evaluated, 0);

@@ -116,7 +116,7 @@ struct SinkModel {
 fn sink_model(s: &System, ws: &NonbondedWorkspace) -> SinkModel {
     let table = s.pair_table();
     let top = &s.topology;
-    let alpha = s.nb.ewald_alpha;
+    let coulomb = table.coulomb();
     let mut m = SinkModel {
         in_saturated_pair: vec![false; s.n_atoms()],
         rows: Vec::new(),
@@ -139,8 +139,8 @@ fn sink_model(s: &System, ws: &NonbondedWorkspace) -> SinkModel {
             }
             let e = table.entry(top.lj_types[a], top.lj_types[b]);
             let qq = top.charges[a] * top.charges[b];
-            let (f_over_r, e_lj, e_coul) = pair_interaction(r_sq, e.a, e.b, e.shift, qq, alpha);
-            let (f_lj, _, _) = pair_interaction(r_sq, e.a, e.b, e.shift, 0.0, alpha);
+            let (f_over_r, e_lj, e_coul) = pair_interaction(r_sq, e.a, e.b, e.shift, qq, coulomb);
+            let (f_lj, _, _) = pair_interaction(r_sq, e.a, e.b, e.shift, 0.0, coulomb);
             let f = d * f_over_r;
             let comps = [f.x, f.y, f.z]
                 .iter()
