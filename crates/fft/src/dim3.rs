@@ -1,10 +1,6 @@
 //! 3D FFT over a dense grid, the shape used by the k-space electrostatics
 //! solver (Gaussian-split Ewald) in `anton2-md`.
 
-// Indexed loops below walk several parallel per-node arrays in lockstep;
-// iterator zips would obscure which node each access refers to.
-#![allow(clippy::needless_range_loop)]
-
 use crate::complex::C64;
 use crate::radix::Fft;
 use rayon::prelude::*;
@@ -72,40 +68,22 @@ impl Grid3 {
     }
 }
 
-/// Reusable scratch for [`Fft3`] transforms: holding one keeps the 3D
-/// transform allocation-free after construction, which the MD engine's
-/// steady-state step loop relies on.
-///
-/// Both the serial and the parallel path draw on the same buffers, so one
-/// scratch serves either mode of the same grid shape.
+/// The shape token of [`Fft3`]'s `_with` entry points. Every pass runs in
+/// place — z lines are contiguous, and the y and x passes batch whole rows
+/// of interleaved lines through the butterflies (`Fft::transform_rows`) —
+/// so no pass needs a gather row or a transpose buffer, and the scratch
+/// holds no buffers. The `_with` calls check it against the grid.
 #[derive(Clone, Debug)]
 pub struct Fft3Scratch {
     nx: usize,
     ny: usize,
     nz: usize,
-    /// One gather row per x-slab (row length `max(nx, ny)` so the serial
-    /// path can also borrow it as a single x- or y-line buffer).
-    rows: Vec<C64>,
-    /// Full-grid transpose buffer for the parallel x pass: x-lines laid out
-    /// contiguously so they can be transformed with `par_chunks_mut`.
-    lines: Vec<C64>,
 }
 
 impl Fft3Scratch {
     /// Scratch sized for an `nx × ny × nz` grid.
     pub fn for_grid(nx: usize, ny: usize, nz: usize) -> Self {
-        let row = nx.max(ny);
-        Fft3Scratch {
-            nx,
-            ny,
-            nz,
-            rows: vec![C64::ZERO; nx * row],
-            lines: vec![C64::ZERO; nx * ny * nz],
-        }
-    }
-
-    fn row_len(&self) -> usize {
-        self.nx.max(self.ny)
+        Fft3Scratch { nx, ny, nz }
     }
 }
 
@@ -127,50 +105,36 @@ impl Fft3 {
         }
     }
 
-    /// Forward 3D DFT in place (no scaling). Allocates transient scratch;
-    /// use [`Fft3::forward_with`] on a hot path.
+    /// Forward 3D DFT in place (no scaling), on the calling thread.
     pub fn forward(&self, g: &mut Grid3) {
-        let mut line = vec![C64::ZERO; g.nx.max(g.ny)];
         self.check(g);
-        self.transform_serial(g, &mut line, false);
+        self.transform(g, false, false);
     }
 
-    /// Inverse 3D DFT in place, scaled by `1/(nx·ny·nz)`. Allocates
-    /// transient scratch; use [`Fft3::inverse_with`] on a hot path.
+    /// Inverse 3D DFT in place, scaled by `1/(nx·ny·nz)`, on the calling
+    /// thread.
     pub fn inverse(&self, g: &mut Grid3) {
-        let mut line = vec![C64::ZERO; g.nx.max(g.ny)];
         self.check(g);
-        self.transform_serial(g, &mut line, true);
+        self.transform(g, true, false);
         scale_inverse(&mut g.data, g.nx * g.ny * g.nz, false);
     }
 
-    /// Forward 3D DFT in place against caller-owned scratch. `parallel`
-    /// fans the independent 1D line transforms of each dimension pass out
-    /// across threads; serial and parallel results are bitwise identical
-    /// because every line sees the same arithmetic either way.
+    /// Forward 3D DFT in place. `parallel` fans the x-slabs of the z and y
+    /// passes and the row blocks of the x pass out across threads; serial
+    /// and parallel results are bitwise identical because every line sees
+    /// the same arithmetic either way.
     pub fn forward_with(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, parallel: bool) {
         self.check(g);
         check_scratch(g, scratch);
-        if parallel {
-            self.transform_parallel(g, scratch, false);
-        } else {
-            let row = scratch.row_len();
-            self.transform_serial(g, &mut scratch.rows[..row], false);
-        }
+        self.transform(g, false, parallel);
     }
 
-    /// Inverse 3D DFT in place against caller-owned scratch, scaled by
-    /// `1/(nx·ny·nz)`. See [`Fft3::forward_with`] for the `parallel`
-    /// contract.
+    /// Inverse 3D DFT in place, scaled by `1/(nx·ny·nz)`. See
+    /// [`Fft3::forward_with`] for the `parallel` contract.
     pub fn inverse_with(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, parallel: bool) {
         self.check(g);
         check_scratch(g, scratch);
-        if parallel {
-            self.transform_parallel(g, scratch, true);
-        } else {
-            let row = scratch.row_len();
-            self.transform_serial(g, &mut scratch.rows[..row], true);
-        }
+        self.transform(g, true, parallel);
         scale_inverse(&mut g.data, g.nx * g.ny * g.nz, parallel);
     }
 
@@ -180,109 +144,32 @@ impl Fft3 {
         assert_eq!(self.fz.len(), g.nz);
     }
 
-    #[inline]
-    fn run(&self, plan: &Fft, line: &mut [C64], inverse: bool) {
-        if inverse {
-            plan.inverse_unscaled(line);
+    /// The three passes, z then y then x. An x-slab (`ny·nz` points) is
+    /// closed under the z and y passes, so each slab runs its z lines and
+    /// then its y pass — `ny` rows of `nz` interleaved y-lines — while it
+    /// is in cache. The x pass batches whole slabs: `nx` rows of `ny·nz`
+    /// interleaved x-lines.
+    fn transform(&self, g: &mut Grid3, inverse: bool, parallel: bool) {
+        let nz = g.nz;
+        let slab = g.ny * nz;
+        let zy = |s: &mut [C64]| {
+            for line in s.chunks_exact_mut(nz) {
+                if inverse {
+                    self.fz.inverse_unscaled(line);
+                } else {
+                    self.fz.forward(line);
+                }
+            }
+            self.fy.transform_rows(s, nz, inverse, 1);
+        };
+        if parallel {
+            g.data.par_chunks_mut(slab).for_each(zy);
+            let forks = rayon::current_num_threads();
+            self.fx.transform_rows(&mut g.data, slab, inverse, forks);
         } else {
-            plan.forward(line);
+            g.data.chunks_exact_mut(slab).for_each(zy);
+            self.fx.transform_rows(&mut g.data, slab, inverse, 1);
         }
-    }
-
-    fn transform_serial(&self, g: &mut Grid3, scratch: &mut [C64], inverse: bool) {
-        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-
-        // z lines are contiguous.
-        for line in g.data.chunks_exact_mut(nz) {
-            self.run(&self.fz, line, inverse);
-        }
-
-        // y lines: stride nz within an x-slab.
-        for ix in 0..nx {
-            for iz in 0..nz {
-                for iy in 0..ny {
-                    scratch[iy] = g.data[(ix * ny + iy) * nz + iz];
-                }
-                self.run(&self.fy, &mut scratch[..ny], inverse);
-                for iy in 0..ny {
-                    g.data[(ix * ny + iy) * nz + iz] = scratch[iy];
-                }
-            }
-        }
-
-        // x lines: stride ny*nz.
-        for iy in 0..ny {
-            for iz in 0..nz {
-                for ix in 0..nx {
-                    scratch[ix] = g.data[(ix * ny + iy) * nz + iz];
-                }
-                self.run(&self.fx, &mut scratch[..nx], inverse);
-                for ix in 0..nx {
-                    g.data[(ix * ny + iy) * nz + iz] = scratch[ix];
-                }
-            }
-        }
-    }
-
-    /// Parallel transform: every 1D line is independent, so each pass fans
-    /// lines out over threads against disjoint memory. The z pass splits the
-    /// grid into contiguous z-lines; the y pass hands each x-slab to one
-    /// task with its own gather row; the x pass (whose lines stride
-    /// `ny·nz`) transposes the lines into `scratch.lines`, transforms them
-    /// contiguously, and scatters back by x-slab.
-    fn transform_parallel(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, inverse: bool) {
-        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-        let slab = ny * nz;
-        let row = scratch.row_len();
-
-        // z pass: contiguous disjoint lines.
-        g.data
-            .par_chunks_mut(nz)
-            .for_each(|line| self.run(&self.fz, line, inverse));
-
-        // y pass: one x-slab per task, each with its own gather row.
-        g.data
-            .par_chunks_mut(slab)
-            .zip(scratch.rows.par_chunks_mut(row))
-            .for_each(|(slab_data, line)| {
-                for iz in 0..nz {
-                    for iy in 0..ny {
-                        line[iy] = slab_data[iy * nz + iz];
-                    }
-                    self.run(&self.fy, &mut line[..ny], inverse);
-                    for iy in 0..ny {
-                        slab_data[iy * nz + iz] = line[iy];
-                    }
-                }
-            });
-
-        // x pass, stage 1: gather every x-line into the transpose buffer
-        // (line index li = iy·nz + iz; element ix lives at ix·slab + li)
-        // and transform it where it now lies contiguously.
-        {
-            let data = &g.data;
-            scratch
-                .lines
-                .par_chunks_mut(nx)
-                .enumerate()
-                .for_each(|(li, line)| {
-                    for (ix, v) in line.iter_mut().enumerate() {
-                        *v = data[ix * slab + li];
-                    }
-                    self.run(&self.fx, line, inverse);
-                });
-        }
-
-        // x pass, stage 2: scatter back, one x-slab per task.
-        let lines = &scratch.lines;
-        g.data
-            .par_chunks_mut(slab)
-            .enumerate()
-            .for_each(|(ix, block)| {
-                for (li, out) in block.iter_mut().enumerate() {
-                    *out = lines[li * nx + ix];
-                }
-            });
     }
 }
 
@@ -425,6 +312,101 @@ mod tests {
             for (a, b) in g.data.iter().zip(&reference.data) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits(), "parallel={parallel}");
                 assert_eq!(a.im.to_bits(), b.im.to_bits(), "parallel={parallel}");
+            }
+        }
+    }
+
+    /// The pass structure before row batching: every line gathered on its
+    /// own and transformed with [`Fft::forward`]/[`Fft::inverse_unscaled`],
+    /// z then y then x.
+    fn per_line(g: &mut Grid3, inverse: bool) {
+        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+        let run = |n: usize, line: &mut Vec<C64>| {
+            let plan = Fft::new(n);
+            if inverse {
+                plan.inverse_unscaled(line);
+            } else {
+                plan.forward(line);
+            }
+        };
+        let idx = |ix: usize, iy: usize, iz: usize| (ix * ny + iy) * nz + iz;
+        for ix in 0..nx {
+            for iy in 0..ny {
+                let mut line: Vec<C64> = (0..nz).map(|iz| g.data[idx(ix, iy, iz)]).collect();
+                run(nz, &mut line);
+                for (iz, v) in line.into_iter().enumerate() {
+                    g.data[idx(ix, iy, iz)] = v;
+                }
+            }
+        }
+        for ix in 0..nx {
+            for iz in 0..nz {
+                let mut line: Vec<C64> = (0..ny).map(|iy| g.data[idx(ix, iy, iz)]).collect();
+                run(ny, &mut line);
+                for (iy, v) in line.into_iter().enumerate() {
+                    g.data[idx(ix, iy, iz)] = v;
+                }
+            }
+        }
+        for iy in 0..ny {
+            for iz in 0..nz {
+                let mut line: Vec<C64> = (0..nx).map(|ix| g.data[idx(ix, iy, iz)]).collect();
+                run(nx, &mut line);
+                for (ix, v) in line.into_iter().enumerate() {
+                    g.data[idx(ix, iy, iz)] = v;
+                }
+            }
+        }
+    }
+
+    fn assert_bitwise(a: &Grid3, b: &Grid3, what: &str) {
+        for (i, (x, y)) in a.data.iter().zip(&b.data).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: point {i}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// Row batching changes no bit: on non-cubic grids, including grids
+    /// with an axis of length 1, the serial transform equals the per-line
+    /// passes, and the parallel one equals the serial one at 1, 2 and 3
+    /// threads (uneven splits of the slabs and of the x-pass row blocks).
+    #[test]
+    fn row_batched_passes_match_per_line_bitwise() {
+        let shapes = [
+            (8, 4, 16),
+            (2, 16, 8),
+            (1, 8, 4),
+            (16, 1, 2),
+            (4, 8, 1),
+            (32, 2, 4),
+        ];
+        for (nx, ny, nz) in shapes {
+            let plan = Fft3::new(nx, ny, nz);
+            let mut scratch = Fft3Scratch::for_grid(nx, ny, nz);
+            let orig = filled(nx, ny, nz);
+            for inverse in [false, true] {
+                let mut want = orig.clone();
+                per_line(&mut want, inverse);
+                let mut serial = orig.clone();
+                plan.transform(&mut serial, inverse, false);
+                let what = format!("{nx}x{ny}x{nz} inverse={inverse}");
+                assert_bitwise(&serial, &want, &format!("serial {what}"));
+                for threads in [1, 2, 3] {
+                    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+                    let mut par = orig.clone();
+                    if inverse {
+                        plan.inverse_with(&mut par, &mut scratch, true);
+                        let mut s = orig.clone();
+                        plan.inverse(&mut s);
+                        assert_bitwise(&par, &s, &format!("{threads} threads {what}"));
+                    } else {
+                        plan.forward_with(&mut par, &mut scratch, true);
+                        assert_bitwise(&par, &want, &format!("{threads} threads {what}"));
+                    }
+                }
+                std::env::remove_var("RAYON_NUM_THREADS");
             }
         }
     }

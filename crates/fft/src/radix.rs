@@ -90,6 +90,119 @@ impl Fft {
         self.transform(data, true);
     }
 
+    /// In-place DFT of every column of a row-major block: `data` holds `n`
+    /// rows of `width` elements, and column `c` is one line
+    /// (`data[j·width + c]` for `j < n`). Every line gets exactly the
+    /// operations [`Fft::forward`] (or, with `inverse`,
+    /// [`Fft::inverse_unscaled`]) would apply to it alone — the same bit
+    /// reversal, butterflies and twiddles — so the result is bitwise
+    /// identical to transforming the lines one at a time, while every
+    /// butterfly streams over two whole contiguous rows. Independent
+    /// sub-blocks and row ranges are split over up to `forks` rayon tasks;
+    /// splitting reorders only butterflies that share no data, so the bits
+    /// never depend on `forks`.
+    pub(crate) fn transform_rows(
+        &self,
+        data: &mut [C64],
+        width: usize,
+        inverse: bool,
+        forks: usize,
+    ) {
+        let n = self.n;
+        assert_eq!(
+            data.len(),
+            n * width,
+            "buffer length {} != plan length {} x width {}",
+            data.len(),
+            n,
+            width
+        );
+        // Bit-reversal reorder, whole rows at a time.
+        for i in 0..n {
+            let j = self.rev[i] as usize;
+            if i < j {
+                let (head, tail) = data.split_at_mut(j * width);
+                head[i * width..(i + 1) * width].swap_with_slice(&mut tail[..width]);
+            }
+        }
+        self.stages_rows(data, width, inverse, forks);
+    }
+
+    /// Every butterfly stage of one bit-reversed block of rows. The block's
+    /// halves are independent sub-transforms (the stages shorter than the
+    /// block); one stage as long as the block then joins them. Each
+    /// butterfly reads exactly the values the stage-by-stage loop of
+    /// [`Fft::forward`] gives it, so the depth-first order changes no bit.
+    fn stages_rows(&self, block: &mut [C64], width: usize, inverse: bool, forks: usize) {
+        let m = block.len() / width;
+        if m < 2 {
+            return;
+        }
+        let (lo, hi) = block.split_at_mut(m / 2 * width);
+        if forks > 1 {
+            rayon::join(
+                || self.stages_rows(lo, width, inverse, forks / 2),
+                || self.stages_rows(hi, width, inverse, forks - forks / 2),
+            );
+        } else {
+            self.stages_rows(lo, width, inverse, 1);
+            self.stages_rows(hi, width, inverse, 1);
+        }
+        self.butterfly_rows(lo, hi, width, 0, self.n / m, inverse, forks);
+    }
+
+    /// The butterflies between row `k0 + r` of `lo` and the same row of
+    /// `hi`, with twiddle `w[(k0 + r)·tw_stride]`. With `forks > 1` the
+    /// row pairs (or, for a single pair, its columns) are split in halves
+    /// over rayon tasks.
+    #[allow(clippy::too_many_arguments)]
+    fn butterfly_rows(
+        &self,
+        lo: &mut [C64],
+        hi: &mut [C64],
+        width: usize,
+        k0: usize,
+        tw_stride: usize,
+        inverse: bool,
+        forks: usize,
+    ) {
+        if forks > 1 && lo.len() > 1 {
+            let rows = lo.len() / width;
+            let (at, k_hi) = if rows > 1 {
+                (rows / 2 * width, k0 + rows / 2)
+            } else {
+                (lo.len() / 2, k0)
+            };
+            let (lo_a, lo_b) = lo.split_at_mut(at);
+            let (hi_a, hi_b) = hi.split_at_mut(at);
+            rayon::join(
+                || self.butterfly_rows(lo_a, hi_a, width, k0, tw_stride, inverse, forks / 2),
+                || {
+                    self.butterfly_rows(
+                        lo_b,
+                        hi_b,
+                        width,
+                        k_hi,
+                        tw_stride,
+                        inverse,
+                        forks - forks / 2,
+                    )
+                },
+            );
+            return;
+        }
+        for (r, (a_row, b_row)) in lo.chunks_mut(width).zip(hi.chunks_mut(width)).enumerate() {
+            let w = self.twiddle[(k0 + r) * tw_stride];
+            let w = if inverse { w.conj() } else { w };
+            for (a, b) in a_row.iter_mut().zip(b_row.iter_mut()) {
+                let av = *a;
+                let bv = *b * w;
+                *a = av + bv;
+                *b = av - bv;
+            }
+        }
+    }
+
     fn transform(&self, data: &mut [C64], inverse: bool) {
         let n = self.n;
         assert_eq!(
@@ -236,6 +349,47 @@ mod tests {
                 assert!((z.abs() - n as f64).abs() < 1e-9);
             } else {
                 assert!(z.abs() < 1e-9, "leakage at bin {k}");
+            }
+        }
+    }
+
+    /// The row-batched kernel must give every column exactly the bits of
+    /// the per-line transform, forward and inverse, for every length the
+    /// grids use and for row widths from one line up, at every fork count.
+    #[test]
+    fn rows_kernel_matches_per_line_bitwise() {
+        for bits in 0..=8 {
+            let n = 1usize << bits;
+            let plan = Fft::new(n);
+            for width in [1usize, 2, 3, 5, 8, 17] {
+                let block: Vec<C64> = (0..n * width)
+                    .map(|i| C64::new((i as f64 * 0.37).sin(), (i as f64 * 1.11 + 0.5).cos()))
+                    .collect();
+                for inverse in [false, true] {
+                    let mut want = block.clone();
+                    for c in 0..width {
+                        let mut line: Vec<C64> = (0..n).map(|j| block[j * width + c]).collect();
+                        if inverse {
+                            plan.inverse_unscaled(&mut line);
+                        } else {
+                            plan.forward(&mut line);
+                        }
+                        for (j, v) in line.into_iter().enumerate() {
+                            want[j * width + c] = v;
+                        }
+                    }
+                    for forks in [1usize, 2, 3] {
+                        let mut got = block.clone();
+                        plan.transform_rows(&mut got, width, inverse, forks);
+                        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                a.re.to_bits() == b.re.to_bits()
+                                    && a.im.to_bits() == b.im.to_bits(),
+                                "n={n} width={width} inverse={inverse} forks={forks} at {i}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -161,8 +161,7 @@ fn extract_calls(table: &SymbolTable, file_idx: usize, caller: FnId, g: &mut Cal
             // Bare fn reference in argument position: same-file fns only
             // (the documented callback heuristic; cross-file fn values are
             // rare and would need type knowledge we don't have).
-            let ids = table.resolve_manifest(&file.basename, &t.text);
-            for &id in ids {
+            for id in table.resolve_manifest(&file.basename, &t.text) {
                 g.callees[caller].push(id);
             }
         }

@@ -23,7 +23,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::manifest::{EntryKind, ALLOC_EXEMPT, DRIVER_ONLY, ENTRY_POINTS, REDUCTION_HELPERS};
-use crate::symbols::{FnId, SymbolTable};
+use crate::symbols::{FnId, FnSym, SymbolTable};
 use std::collections::{BTreeSet, VecDeque};
 
 /// The manifest lists, owned — the real workspace uses
@@ -51,16 +51,16 @@ impl Spec {
         }
     }
 
-    pub fn is_alloc_exempt(&self, basename: &str, name: &str) -> bool {
-        has_pair(&self.alloc_exempt, basename, name)
+    pub fn is_alloc_exempt(&self, sym: &FnSym) -> bool {
+        names(&self.alloc_exempt, sym)
     }
 
-    pub fn is_driver_only(&self, basename: &str, name: &str) -> bool {
-        has_pair(&self.driver_only, basename, name)
+    pub fn is_driver_only(&self, sym: &FnSym) -> bool {
+        names(&self.driver_only, sym)
     }
 
-    pub fn is_reduction_helper(&self, basename: &str, name: &str) -> bool {
-        has_pair(&self.reduction_helpers, basename, name)
+    pub fn is_reduction_helper(&self, sym: &FnSym) -> bool {
+        names(&self.reduction_helpers, sym)
     }
 }
 
@@ -70,8 +70,9 @@ fn pairs(list: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-fn has_pair(list: &[(String, String)], basename: &str, name: &str) -> bool {
-    list.iter().any(|(f, n)| f == basename && n == name)
+fn names(list: &[(String, String)], sym: &FnSym) -> bool {
+    list.iter()
+        .any(|(file, key)| *file == sym.basename && sym.matches_key(key))
 }
 
 /// One resolved entry point.
@@ -112,7 +113,7 @@ impl Reachability {
         let nfns = table.fns.len();
         let mut entries = Vec::new();
         for (file, name, kind) in &spec.entry_points {
-            for &id in table.resolve_manifest(file, name) {
+            for id in table.resolve_manifest(file, name) {
                 entries.push(Entry { id, kind: *kind });
             }
         }
@@ -235,6 +236,24 @@ pub fn validate_manifest(table: &SymbolTable, spec: &Spec) -> Vec<String> {
     }
     for (file, name) in &spec.reduction_helpers {
         check("REDUCTION_HELPERS", file, name);
+    }
+    // A bare exemption would cover every same-named fn in the file — one
+    // setup constructor's exemption silencing a hot `new` beside it — so an
+    // exemption of a method names the method's owner.
+    for (file, name) in spec.alloc_exempt.iter().filter(|(_, n)| !n.contains("::")) {
+        let owners: BTreeSet<&str> = table
+            .resolve_manifest(file, name)
+            .into_iter()
+            .filter_map(|id| table.fns[id].owner.as_deref())
+            .collect();
+        if !owners.is_empty() {
+            let owners: Vec<&str> = owners.into_iter().collect();
+            errors.push(format!(
+                "manifest names an unqualified method: ALLOC_EXEMPT entry (\"{file}\", \"{name}\") \
+                 matches methods of {}; key it as \"Owner::{name}\"",
+                owners.join(", ")
+            ));
+        }
     }
     errors
 }

@@ -20,7 +20,7 @@ use crate::manifest::{
     ALLOC_CTORS, ALLOC_EXEMPT, ALLOC_MACROS, ALLOC_METHODS, COUNTER_FIELDS, ENTRY_POINTS,
     HOT_MODULES, NONDET_IDENTS, PANIC_MACROS, PANIC_METHODS, REDUCTION_HELPERS, TELEMETRY_FILE,
 };
-use crate::symbols::test_regions;
+use crate::symbols::{key_matches, parse_fns, test_regions, ParsedFn};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One of the eight enforced rule families.
@@ -210,8 +210,8 @@ function that writes driver-global telemetry or grid state breaks that
 isolation and makes a shard's result depend on its neighbours.
 
 Scope: functions reachable from ShardContext entry points. Two checks:
-(1) reaching a DRIVER_ONLY function (merge_forces, exchange,
-solve_potential_into) is a violation, reported with the call path;
+(1) reaching a DRIVER_ONLY function (merge_forces, exchange, the GSE
+convolve) is a violation, reported with the call path;
 (2) mutating telemetry through a bare `tel` binding (the driver's) instead
 of the per-shard sink (`shard.tel.count_*`) is a violation.
 
@@ -282,7 +282,7 @@ pub(crate) fn analyze_source_inner(path: &str, source: &str, hot_fn_rules: bool)
 
     let allows = allow_map(&lexed);
     let in_test = test_regions(&lexed);
-    let fns = fn_spans(&lexed);
+    let fns = parse_fns(&lexed, &in_test);
 
     let mut findings: Vec<Finding> = Vec::new();
     let excerpt = |line: u32| -> String {
@@ -320,14 +320,10 @@ pub(crate) fn analyze_source_inner(path: &str, source: &str, hot_fn_rules: bool)
 
     // --- zero-alloc + panic-freedom on entry-point bodies ------------------
     if hot_fn_rules {
-        let is_entry = |name: &str| {
-            ENTRY_POINTS
-                .iter()
-                .any(|(f, fname, _)| *f == basename && *fname == name)
-        };
-        let is_exempt = |name: &str| ALLOC_EXEMPT.contains(&(basename, name));
-        for (start, end, fname) in fns.iter().filter(|(_, _, name)| is_entry(name)) {
-            if !is_exempt(fname) {
+        let is_entry = |f: &&ParsedFn| listed(ENTRY_POINTS.iter().map(|e| (e.0, e.1)), basename, f);
+        for f in fns.iter().filter(is_entry) {
+            let ((start, end), fname) = (&f.body, &f.name);
+            if !listed(ALLOC_EXEMPT.iter().copied(), basename, f) {
                 for (line, what) in scan_alloc(toks, *start, *end) {
                     push(
                         Rule::ZeroAlloc,
@@ -348,11 +344,12 @@ pub(crate) fn analyze_source_inner(path: &str, source: &str, hot_fn_rules: bool)
 
     // --- float-reduction: bare float accumulation in hot modules -----------
     if hot_module {
-        let approved: Vec<&(usize, usize, String)> = fns
+        let approved: Vec<(usize, usize)> = fns
             .iter()
-            .filter(|(_, _, name)| REDUCTION_HELPERS.contains(&(basename, name.as_str())))
+            .filter(|f| listed(REDUCTION_HELPERS.iter().copied(), basename, f))
+            .map(|f| f.body)
             .collect();
-        let skip = |i: usize| in_test[i] || approved.iter().any(|(s, e, _)| (*s..*e).contains(&i));
+        let skip = |i: usize| in_test[i] || approved.iter().any(|(s, e)| (*s..*e).contains(&i));
         for (line, msg) in scan_float_reduction(toks, 0, n, &skip) {
             push(Rule::FloatReduction, line, msg);
         }
@@ -643,54 +640,15 @@ pub(crate) fn allow_map(lexed: &Lexed) -> BTreeMap<u32, BTreeSet<Rule>> {
     map
 }
 
-/// Function body spans as `(body_start_token, body_end_token, name)`.
-/// The span covers the tokens between the body's braces (inclusive of the
-/// braces themselves). Bodiless declarations (trait methods) are skipped.
-pub(crate) fn fn_spans(lexed: &Lexed) -> Vec<(usize, usize, String)> {
-    let toks = &lexed.tokens;
-    let n = toks.len();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        if toks[i].kind == Kind::Ident
-            && toks[i].text == "fn"
-            && i + 1 < n
-            && toks[i + 1].kind == Kind::Ident
-        {
-            let name = toks[i + 1].text.clone();
-            // The first `{` before a `;` opens the body (param lists,
-            // return types, and where clauses cannot contain braces).
-            let mut j = i + 2;
-            let mut body = None;
-            while j < n {
-                match toks[j].text.as_str() {
-                    "{" => {
-                        body = Some(j);
-                        break;
-                    }
-                    ";" => break,
-                    _ => j += 1,
-                }
-            }
-            if let Some(open) = body {
-                let mut depth = 1i32;
-                let mut m = open + 1;
-                while m < n && depth > 0 {
-                    match toks[m].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => depth -= 1,
-                        _ => {}
-                    }
-                    m += 1;
-                }
-                out.push((open, m, name));
-                i += 2; // allow nested fns to be found inside this body
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
+/// Does a manifest list name `f`, defined in the file `basename`? Keys are
+/// matched by [`key_matches`], so an `Owner::fn` key names only that
+/// owner's method.
+fn listed<'a>(
+    mut list: impl Iterator<Item = (&'a str, &'a str)>,
+    basename: &str,
+    f: &ParsedFn,
+) -> bool {
+    list.any(|(file, key)| file == basename && key_matches(key, f.owner.as_deref(), &f.name))
 }
 
 #[cfg(test)]
@@ -779,11 +737,18 @@ mod tests {
     fn alloc_exempt_fn_skips_zero_alloc_but_not_panic() {
         // `rebuild` is ALLOC_EXEMPT for stream.rs but is not an entry point,
         // so standalone analysis says nothing; `rebuild_at_epoch` IS an entry
-        // point and exempt: allocs pass, panics still flag.
-        let src = "impl S { fn rebuild_at_epoch(&mut self) { self.v.push(1); self.o.unwrap(); } }";
+        // point and exempt for `NonbondedWorkspace`: allocs pass, panics
+        // still flag.
+        let src = "impl NonbondedWorkspace { fn rebuild_at_epoch(&mut self) { self.v.push(1); self.o.unwrap(); } }";
         let f = analyze_source("crates/md/src/stream.rs", src);
         assert!(f.iter().all(|f| f.rule == Rule::PanicFreedom), "{f:?}");
         assert_eq!(f.len(), 1, "{f:?}");
+        // The exemption names its owner: the same entry point on another
+        // type still has its allocation flagged.
+        let src = "impl S { fn rebuild_at_epoch(&mut self) { self.v.push(1); } }";
+        let f = analyze_source("crates/md/src/stream.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::ZeroAlloc, "{f:?}");
     }
 
     #[test]

@@ -137,12 +137,36 @@ impl SymbolTable {
             .expect("fn path always names a table file")
     }
 
-    /// Resolve a manifest `(basename, fn)` key to its non-test definitions.
-    pub fn resolve_manifest(&self, basename: &str, name: &str) -> &[FnId] {
+    /// Resolve a manifest `(basename, key)` entry to its non-test
+    /// definitions; see [`key_matches`] for the key forms.
+    pub fn resolve_manifest(&self, basename: &str, key: &str) -> Vec<FnId> {
+        let name = key.split_once("::").map_or(key, |(_, name)| name);
         self.by_file
             .get(&(basename.to_string(), name.to_string()))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .map(|ids| {
+                ids.iter()
+                    .copied()
+                    .filter(|&id| self.fns[id].matches_key(key))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+}
+
+impl FnSym {
+    /// Does a manifest key name this function? See [`key_matches`].
+    pub fn matches_key(&self, key: &str) -> bool {
+        key_matches(key, self.owner.as_deref(), &self.name)
+    }
+}
+
+/// A manifest key names functions within one file: `Owner::name` names
+/// only the `name` defined in an `impl` block for `Owner`; a bare `name`
+/// names every same-named function in the file, whatever its owner.
+pub fn key_matches(key: &str, owner: Option<&str>, name: &str) -> bool {
+    match key.split_once("::") {
+        Some((o, n)) => owner == Some(o) && n == name,
+        None => key == name,
     }
 }
 
@@ -165,19 +189,19 @@ fn module_path(path: &str) -> String {
     }
 }
 
-struct ParsedFn {
-    name: String,
-    owner: Option<String>,
-    line: u32,
-    body: (usize, usize),
-    is_test: bool,
+pub(crate) struct ParsedFn {
+    pub(crate) name: String,
+    pub(crate) owner: Option<String>,
+    pub(crate) line: u32,
+    pub(crate) body: (usize, usize),
+    pub(crate) is_test: bool,
 }
 
 /// Walk the token stream, tracking `impl` blocks, and emit every `fn` with
 /// a body. The walk enters bodies (nested fns are found too); an inner fn
 /// inherits the `impl` owner only if it is directly inside the impl's
 /// brace depth, which the depth bookkeeping below tracks exactly.
-fn parse_fns(lexed: &Lexed, in_test: &[bool]) -> Vec<ParsedFn> {
+pub(crate) fn parse_fns(lexed: &Lexed, in_test: &[bool]) -> Vec<ParsedFn> {
     let toks = &lexed.tokens;
     let n = toks.len();
     let mut out = Vec::new();
@@ -464,6 +488,9 @@ mod tests {
         assert_eq!(t.by_owner[&("S".into(), "method".into())].len(), 1);
         assert_eq!(t.resolve_manifest("stream.rs", "free").len(), 1);
         assert!(t.resolve_manifest("stream.rs", "missing").is_empty());
+        assert_eq!(t.resolve_manifest("stream.rs", "S::method").len(), 1);
+        assert!(t.resolve_manifest("stream.rs", "T::method").is_empty());
+        assert!(t.resolve_manifest("stream.rs", "S::free").is_empty());
     }
 
     #[test]

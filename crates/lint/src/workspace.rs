@@ -215,7 +215,7 @@ fn hot_set_rules(
             });
         };
 
-        if !spec.is_alloc_exempt(&sym.basename, &sym.name) {
+        if !spec.is_alloc_exempt(sym) {
             for (line, what) in scan_alloc(toks, start, end) {
                 if !in_nested_line(&nested, toks, line) {
                     push(
@@ -252,7 +252,7 @@ fn hot_set_rules(
                     );
                 }
             }
-            if !spec.is_reduction_helper(&sym.basename, &sym.name) {
+            if !spec.is_reduction_helper(sym) {
                 let skip = |i: usize| in_nested(i);
                 for (line, msg) in scan_float_reduction(toks, start, end, &skip) {
                     push(
@@ -289,7 +289,7 @@ fn shard_isolation(
 ) {
     // (1) Driver-only fns reachable from shard context.
     for (file, name) in &spec.driver_only {
-        for &id in table.resolve_manifest(file, name) {
+        for id in table.resolve_manifest(file, name) {
             if reach.shard[id] {
                 let path = reach.render_path(table, &reach.shard_parent, id);
                 let sym = &table.fns[id];

@@ -136,6 +136,78 @@ fn alloc_exempt_helper_is_skipped_but_still_hot() {
     assert!(a.reach.hot[fn_id(&a, "stream.rs", "helper")]);
 }
 
+/// An exemption keyed `Owner::fn` covers that owner's method only: a
+/// same-named hot constructor of another type in the exempt file is still
+/// flagged.
+#[test]
+fn qualified_exemption_leaves_same_named_hot_method_flagged() {
+    let mut s = spec(&[("stream.rs", "hot_entry", EntryKind::Step)]);
+    s.alloc_exempt
+        .push(("stream.rs".to_string(), "Setup::new".to_string()));
+    let a = analyze(
+        vec![src(
+            "crates/x/src/stream.rs",
+            "pub struct Setup;
+             impl Setup {
+                 pub fn new() -> Vec<u32> {
+                     Vec::with_capacity(8)
+                 }
+             }
+             pub struct Scratch;
+             impl Scratch {
+                 pub fn new() -> Vec<u32> {
+                     Vec::with_capacity(8)
+                 }
+             }
+             pub fn hot_entry() -> usize {
+                 Setup::new().len() + Scratch::new().len()
+             }
+",
+        )],
+        &s,
+    );
+    let allocs: Vec<_> = a
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::ZeroAlloc)
+        .collect();
+    assert_eq!(allocs.len(), 1, "{:?}", a.findings);
+    assert_eq!(allocs[0].line, 10, "{allocs:?}");
+    assert!(
+        allocs[0].message.contains("hot via hot_entry -> new"),
+        "{allocs:?}"
+    );
+}
+
+/// A bare exemption that names a method is a manifest error: it would
+/// exempt every same-named function in the file.
+#[test]
+fn bare_exemption_of_a_method_is_a_manifest_error() {
+    let mut s = spec(&[("stream.rs", "hot_entry", EntryKind::Step)]);
+    s.alloc_exempt
+        .push(("stream.rs".to_string(), "new".to_string()));
+    let Err(errors) = analyze_sources(
+        vec![src(
+            "crates/x/src/stream.rs",
+            "pub struct Setup;
+             impl Setup {
+                 pub fn new() -> Vec<u32> {
+                     Vec::new()
+                 }
+             }
+             pub fn hot_entry() -> usize {
+                 Setup::new().len()
+             }
+",
+        )],
+        &s,
+    ) else {
+        panic!("bare method exemption must be rejected");
+    };
+    let text = format!("{errors:?}");
+    assert!(text.contains("key it as \\\"Owner::new\\\""), "{text}");
+}
+
 // ---- call resolution ------------------------------------------------------
 
 #[test]
@@ -429,8 +501,8 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("gse.rs", "spread_planes_serial"),
     ("gse.rs", "spread_planes_parallel"),
     ("gse.rs", "spread_plane_item"),
-    ("gse.rs", "spread_row_lanes"),
-    ("gse.rs", "solve_potential_into"),
+    ("gse.rs", "spread_row"),
+    ("gse.rs", "convolve"),
     ("gse.rs", "energy_forces_with"),
     ("gse.rs", "energy_forces_profiled"),
     ("gse.rs", "grid_energy"),

@@ -23,7 +23,12 @@
 //! accumulation order, so the parallel grid is **bitwise identical** to the
 //! serial one at any thread count. The pre-rework fused kernels (one
 //! `exp` + `rem_euclid` per grid point, spherical support) are kept as
-//! `*_reference` oracles for accuracy gates and before/after benchmarks.
+//! test-only `*_reference` oracles for the accuracy gates.
+//!
+//! Spreading and interpolation work on one dense real grid whose z-rows
+//! are padded by the stencil width (see [`GseWorkspace`]): a stencil row is
+//! written as at most two contiguous runs and read back as one, and the
+//! convolution goes through a single complex FFT buffer.
 //!
 //! The serial engine evaluates the convolution with [`anton2_fft::Fft3`];
 //! the machine co-simulator runs the identical arithmetic with the
@@ -178,12 +183,16 @@ impl Gse {
     /// Spread charges into an existing grid (accumulating — the grid is not
     /// cleared). Exposed separately so the machine co-simulator can spread
     /// each node's atoms independently. Convenience wrapper building its
-    /// own [`StencilTables`]; the engine's allocation-free hot path goes
-    /// through [`Gse::energy_forces_with`].
+    /// own [`StencilTables`] and real grid, seeded from `rho` so every cell
+    /// accumulates onto its old value exactly as an in-place spread would;
+    /// the engine's allocation-free hot path goes through
+    /// [`Gse::energy_forces_with`].
     pub fn spread_into(&self, positions: &[Vec3], charges: &[f64], rho: &mut Grid3) {
         let mut tables = StencilTables::new();
         self.fill_tables(positions, charges, &mut tables);
-        self.spread_planes_serial(&tables, rho);
+        let mut real = self.real_grid_from(rho);
+        self.spread_planes_serial(&tables, &mut real);
+        self.store_real(&real, rho);
     }
 
     /// Spread charges into the grid with the x-planes fanned out over
@@ -195,7 +204,37 @@ impl Gse {
         let mut tables = StencilTables::new();
         self.fill_tables(positions, charges, &mut tables);
         self.bin_planes(&mut tables);
-        self.spread_planes_parallel(&tables, rho);
+        let mut real = self.real_grid_from(rho);
+        self.spread_planes_parallel(&tables, &mut real);
+        self.store_real(&real, rho);
+    }
+
+    /// A padded real grid (see [`GseWorkspace`]) holding `rho`'s real parts.
+    fn real_grid_from(&self, rho: &Grid3) -> Vec<f64> {
+        let p = &self.params;
+        assert_eq!(
+            (rho.nx, rho.ny, rho.nz),
+            (p.nx, p.ny, p.nz),
+            "density grid sized for another solver"
+        );
+        let (nz, zrow) = (p.nz, self.ctx.zrow);
+        let mut real = vec![0.0; p.nx * p.ny * zrow];
+        for (row, src) in real.chunks_exact_mut(zrow).zip(rho.data.chunks_exact(nz)) {
+            for (r, v) in row.iter_mut().zip(src) {
+                *r = v.re;
+            }
+        }
+        real
+    }
+
+    /// Write a padded real grid's cells back into `rho`'s real parts.
+    fn store_real(&self, real: &[f64], rho: &mut Grid3) {
+        let (nz, zrow) = (self.params.nz, self.ctx.zrow);
+        for (row, dst) in real.chunks_exact(zrow).zip(rho.data.chunks_exact_mut(nz)) {
+            for (v, &r) in dst.iter_mut().zip(row) {
+                v.re = r;
+            }
+        }
     }
 
     /// Fill the separable stencil tables for one configuration: the charged
@@ -227,7 +266,7 @@ impl Gse {
         t.yoff.resize(n * wyl, 0);
         t.wz.resize(n * wzl, 0.0);
         t.rz.resize(n * wzl, 0.0);
-        t.gz.resize(n * wzl, 0);
+        t.z0.resize(n, 0);
         for s in 0..n {
             let w = self.pbc.wrap(positions[t.atom[s] as usize]);
             let cx = (w.x / c.h.x).round() as i64;
@@ -241,13 +280,13 @@ impl Gse {
             }
             for (k, dy) in (-c.reach[1]..=c.reach[1]).enumerate() {
                 let r = (cy + dy) as f64 * c.h.y - w.y;
-                t.yoff[s * wyl + k] = (cy + dy).rem_euclid(p.ny as i64) as u32 * p.nz as u32;
+                t.yoff[s * wyl + k] = (cy + dy).rem_euclid(p.ny as i64) as u32 * c.zrow as u32;
                 t.ry[s * wyl + k] = r;
                 t.wy[s * wyl + k] = (-r * r * c.inv_2s2).exp();
             }
+            t.z0[s] = (cz - c.reach[2]).rem_euclid(p.nz as i64) as u32;
             for (k, dz) in (-c.reach[2]..=c.reach[2]).enumerate() {
                 let r = (cz + dz) as f64 * c.h.z - w.z;
-                t.gz[s * wzl + k] = (cz + dz).rem_euclid(p.nz as i64) as u32;
                 t.rz[s * wzl + k] = r;
                 t.wz[s * wzl + k] = (-r * r * c.inv_2s2).exp();
             }
@@ -292,13 +331,13 @@ impl Gse {
     /// Serial separable spread: every stencil column in `(atom, dx)` order.
     /// Shares [`Gse::spread_plane_item`] with the plane-parallel path so
     /// both produce identical floating-point sums per grid cell.
-    fn spread_planes_serial(&self, t: &StencilTables, rho: &mut Grid3) {
+    fn spread_planes_serial(&self, t: &StencilTables, real: &mut [f64]) {
         let wxl = self.ctx.widths[0];
-        let nynz = self.params.ny * self.params.nz;
+        let plane_len = self.plane_len();
         for s in 0..t.n {
             for k in 0..wxl {
                 let px = t.gx[s * wxl + k] as usize;
-                let plane = &mut rho.data[px * nynz..(px + 1) * nynz];
+                let plane = &mut real[px * plane_len..(px + 1) * plane_len];
                 self.spread_plane_item(t, s, k, plane);
             }
         }
@@ -309,10 +348,8 @@ impl Gse {
     /// traversal instead of the old `O(planes × atoms)` membership scan —
     /// in the serial accumulation order, so the grid is bitwise identical
     /// to [`Gse::spread_planes_serial`] at any thread count.
-    fn spread_planes_parallel(&self, t: &StencilTables, rho: &mut Grid3) {
-        let nynz = self.params.ny * self.params.nz;
-        rho.data
-            .par_chunks_mut(nynz)
+    fn spread_planes_parallel(&self, t: &StencilTables, real: &mut [f64]) {
+        real.par_chunks_mut(self.plane_len())
             .enumerate()
             .for_each(|(px, plane)| {
                 let lo = t.plane_start[px] as usize;
@@ -328,53 +365,45 @@ impl Gse {
             });
     }
 
+    /// Real-grid points per x-plane: `ny` padded z-rows.
+    fn plane_len(&self) -> usize {
+        self.params.ny * self.ctx.zrow
+    }
+
     /// Accumulate one stencil column — one `(charged atom, dx)` pair — into
     /// its destination x-plane: the `O(R²)` separable multiply-accumulate
-    /// core, lane-batched along z.
+    /// core, one z-row per `dy`.
     #[inline]
-    fn spread_plane_item(&self, t: &StencilTables, s: usize, dxs: usize, plane: &mut [C64]) {
+    fn spread_plane_item(&self, t: &StencilTables, s: usize, dxs: usize, plane: &mut [f64]) {
         let [wxl, wyl, wzl] = self.ctx.widths;
         let nz = self.params.nz;
         let qx = t.q[s] * t.wx[s * wxl + dxs];
         let yoff = &t.yoff[s * wyl..(s + 1) * wyl];
         let wy = &t.wy[s * wyl..(s + 1) * wyl];
-        let gz = &t.gz[s * wzl..(s + 1) * wzl];
         let wz = &t.wz[s * wzl..(s + 1) * wzl];
+        let z0 = t.z0[s] as usize;
         for dy in 0..wyl {
             let row = &mut plane[yoff[dy] as usize..yoff[dy] as usize + nz];
-            spread_row_lanes(row, gz, wz, qx * wy[dy]);
+            spread_row(row, z0, wz, qx * wy[dy]);
         }
     }
 
-    /// Convolve a density grid with the influence function, producing the
-    /// smeared potential grid (in units of C·charge/Å). Allocates the
-    /// result; the engine's hot path uses [`Gse::solve_potential_into`].
-    pub fn solve_potential(&self, rho: &Grid3) -> Grid3 {
-        let mut phi = rho.clone();
-        self.plan.forward(&mut phi);
-        for (v, &g) in phi.data.iter_mut().zip(&self.ghat) {
-            *v = v.scale(g);
-        }
-        self.plan.inverse(&mut phi);
-        phi
-    }
-
-    /// Allocation-free [`Gse::solve_potential`]: convolve `rho` into the
-    /// caller-owned `phi` using caller-owned FFT scratch. The elementwise
+    /// Convolve the density in `real` with the influence function: load
+    /// it into the complex FFT buffer `grid`, transform, multiply by the
+    /// influence function, and transform back, leaving the smeared
+    /// potential φ (in units of C·charge/Å) in `grid`. The elementwise
     /// influence multiply and both FFT passes are bitwise independent of
     /// `parallel`.
-    pub fn solve_potential_into(
-        &self,
-        rho: &Grid3,
-        phi: &mut Grid3,
-        fft: &mut Fft3Scratch,
-        parallel: bool,
-    ) {
-        assert_eq!(rho.data.len(), phi.data.len(), "phi sized for wrong grid");
-        phi.data.copy_from_slice(&rho.data);
-        self.plan.forward_with(phi, fft, parallel);
+    fn convolve(&self, real: &[f64], grid: &mut Grid3, fft: &mut Fft3Scratch, parallel: bool) {
+        let (nz, zrow) = (self.params.nz, self.ctx.zrow);
+        for (dst, row) in grid.data.chunks_exact_mut(nz).zip(real.chunks_exact(zrow)) {
+            for (v, &r) in dst.iter_mut().zip(row) {
+                *v = C64::real(r);
+            }
+        }
+        self.plan.forward_with(grid, fft, parallel);
         if parallel {
-            phi.data
+            grid.data
                 .par_chunks_mut(4096)
                 .zip(self.ghat.par_chunks(4096))
                 .for_each(|(vs, gs)| {
@@ -383,11 +412,33 @@ impl Gse {
                     }
                 });
         } else {
-            for (v, &g) in phi.data.iter_mut().zip(&self.ghat) {
+            for (v, &g) in grid.data.iter_mut().zip(&self.ghat) {
                 *v = v.scale(g);
             }
         }
-        self.plan.inverse_with(phi, fft, parallel);
+        self.plan.inverse_with(grid, fft, parallel);
+    }
+
+    /// Overwrite the density in `real` with φ's real part from `grid`, fill
+    /// every z-row's pad with the row's wrapped head (`row[nz + j] =
+    /// row[(nz + j) mod nz]`), and return the grid energy
+    /// `E = (C/2)·h³·Σ ρ·φ`. The dot product runs serially over the grid
+    /// in index order from `-0.0`, the start value of `f64`'s `Sum`, so it
+    /// is bitwise the old `.sum()` over the grid and a constant of the grid
+    /// shape on every path.
+    fn grid_energy(&self, grid: &Grid3, real: &mut [f64]) -> f64 {
+        let (nz, zrow) = (self.params.nz, self.ctx.zrow);
+        let mut dot = -0.0;
+        for (row, phi) in real.chunks_exact_mut(zrow).zip(grid.data.chunks_exact(nz)) {
+            for (r, p) in row.iter_mut().zip(phi) {
+                dot += *r * p.re;
+                *r = p.re;
+            }
+            for j in nz..zrow {
+                row[j] = row[j - nz];
+            }
+        }
+        0.5 * COULOMB * self.ctx.cell_vol * dot
     }
 
     /// Reciprocal-space energy and forces via the grid. Equivalent to
@@ -426,8 +477,8 @@ impl Gse {
     /// [`Gse::energy_forces_with`] with step-phase telemetry: charge
     /// spreading (including the stencil-table fill) is timed as
     /// [`Phase::GseSpread`], the convolution (both FFT passes, the
-    /// influence multiply, and the grid-energy dot product) as
-    /// [`Phase::Fft`], and the force interpolation as
+    /// influence multiply, and the grid-energy pass that loads φ back into
+    /// the real grid) as [`Phase::Fft`], and the force interpolation as
     /// [`Phase::Interpolate`]; the FFT line counter advances by the exact
     /// number of 1D line transforms the two 3D passes execute, and the GSE
     /// work counters by the exact stencil points accumulated/read and
@@ -443,44 +494,17 @@ impl Gse {
         tel: &mut Telemetry,
     ) -> f64 {
         let t0 = tel.start();
-        ws.rho.clear();
+        ws.real.fill(0.0);
         self.fill_tables(positions, charges, &mut ws.tables);
         if parallel {
             self.bin_planes(&mut ws.tables);
-            self.spread_planes_parallel(&ws.tables, &mut ws.rho);
+            self.spread_planes_parallel(&ws.tables, &mut ws.real);
         } else {
-            self.spread_planes_serial(&ws.tables, &mut ws.rho);
+            self.spread_planes_serial(&ws.tables, &mut ws.real);
         }
-        let c = &self.ctx;
-        let stencil = (c.widths[0] * c.widths[1] * c.widths[2]) as u64;
-        let nq = ws.tables.n as u64;
-        // Bins visited = one per (charged atom, dx) stencil column; the
-        // same count whether the serial path or the plane-binned parallel
-        // path walked them, so the counter stays serial ≡ parallel.
-        tel.count_gse_spread(nq * stencil, nq * c.widths[0] as u64);
+        self.count_spread(ws, tel);
         tel.stop(Phase::GseSpread, t0);
-
-        let t0 = tel.start();
-        self.solve_potential_into(&ws.rho, &mut ws.phi, &mut ws.fft, parallel);
-        let energy = self.grid_energy(&ws.rho, &ws.phi);
-        // Each 3D pass runs one 1D transform per grid line along each axis.
-        let p = &self.params;
-        let lines_per_pass = (p.ny * p.nz + p.nx * p.nz + p.nx * p.ny) as u64;
-        tel.count_fft_lines(2 * lines_per_pass);
-        tel.stop(Phase::Fft, t0);
-
-        let t0 = tel.start();
-        let n_bufs = if parallel { ws.added.len() } else { 1 };
-        self.interpolate_tables_chunked(
-            &ws.phi,
-            &ws.tables,
-            forces,
-            &mut ws.added[..n_bufs],
-            parallel,
-        );
-        tel.count_gse_interp(nq * stencil);
-        tel.stop(Phase::Interpolate, t0);
-        energy
+        self.solve_and_interpolate(forces, ws, parallel, tel)
     }
 
     /// [`Gse::energy_forces_profiled`] for a decomposed engine: the charge
@@ -505,11 +529,11 @@ impl Gse {
         shards: &mut crate::shard::ShardSet,
     ) -> f64 {
         let t0 = tel.start();
-        ws.rho.clear();
+        ws.real.fill(0.0);
         self.fill_tables(positions, charges, &mut ws.tables);
         self.bin_planes(&mut ws.tables);
         let nx = self.params.nx;
-        let nynz = self.params.ny * self.params.nz;
+        let plane_len = self.plane_len();
         let n_shards = shards.len();
         let w12 = (self.ctx.widths[1] * self.ctx.widths[2]) as u64;
         for (k, shard) in shards.shards.iter_mut().enumerate() {
@@ -520,7 +544,7 @@ impl Gse {
             for px in plane_lo..plane_hi {
                 let lo = tables.plane_start[px] as usize;
                 let hi = tables.plane_start[px + 1] as usize;
-                let plane = &mut ws.rho.data[px * nynz..(px + 1) * nynz];
+                let plane = &mut ws.real[px * plane_len..(px + 1) * plane_len];
                 for i in lo..hi {
                     self.spread_plane_item(
                         tables,
@@ -534,17 +558,39 @@ impl Gse {
             shard.tel.count_gse_spread(items * w12, items);
             shard.tel.stop(Phase::GseSpread, ts);
         }
-        // Global counters are functions of the charged-atom count and the
-        // stencil shape only — identical to the single-image path.
-        let c = &self.ctx;
-        let stencil = (c.widths[0] * c.widths[1] * c.widths[2]) as u64;
-        let nq = ws.tables.n as u64;
-        tel.count_gse_spread(nq * stencil, nq * c.widths[0] as u64);
+        self.count_spread(ws, tel);
         tel.stop(Phase::GseSpread, t0);
+        self.solve_and_interpolate(forces, ws, parallel, tel)
+    }
 
+    /// Count one spread on the engine-wide telemetry: the stencil points
+    /// accumulated, and one bin visit per `(charged atom, dx)` stencil
+    /// column. Both are functions of the charged-atom count and the stencil
+    /// shape only, so they are equal on the serial, plane-parallel and
+    /// sharded paths.
+    fn count_spread(&self, ws: &GseWorkspace, tel: &mut Telemetry) {
+        let nq = ws.tables.n as u64;
+        tel.count_gse_spread(
+            nq * self.ctx.stencil_points(),
+            nq * self.ctx.widths[0] as u64,
+        );
+    }
+
+    /// The back half of an evaluation, global even on a shard grid and
+    /// shared by every spread path: the convolution and the grid energy
+    /// (timed as [`Phase::Fft`]), then the force interpolation from the
+    /// potential now in the real grid ([`Phase::Interpolate`]).
+    fn solve_and_interpolate(
+        &self,
+        forces: &mut [Vec3],
+        ws: &mut GseWorkspace,
+        parallel: bool,
+        tel: &mut Telemetry,
+    ) -> f64 {
         let t0 = tel.start();
-        self.solve_potential_into(&ws.rho, &mut ws.phi, &mut ws.fft, parallel);
-        let energy = self.grid_energy(&ws.rho, &ws.phi);
+        self.convolve(&ws.real, &mut ws.grid, &mut ws.fft, parallel);
+        let energy = self.grid_energy(&ws.grid, &mut ws.real);
+        // Each 3D pass runs one 1D transform per grid line along each axis.
         let p = &self.params;
         let lines_per_pass = (p.ny * p.nz + p.nx * p.nz + p.nx * p.ny) as u64;
         tel.count_fft_lines(2 * lines_per_pass);
@@ -553,63 +599,30 @@ impl Gse {
         let t0 = tel.start();
         let n_bufs = if parallel { ws.added.len() } else { 1 };
         self.interpolate_tables_chunked(
-            &ws.phi,
+            &ws.real,
             &ws.tables,
             forces,
             &mut ws.added[..n_bufs],
             parallel,
         );
-        tel.count_gse_interp(nq * stencil);
+        tel.count_gse_interp(ws.tables.n as u64 * self.ctx.stencil_points());
         tel.stop(Phase::Interpolate, t0);
         energy
     }
 
-    /// `E = (C/2)·h³·Σ ρ·φ`.
-    pub fn grid_energy(&self, rho: &Grid3, phi: &Grid3) -> f64 {
-        let h = self.params.spacing(&self.pbc);
-        let cell_vol = h.x * h.y * h.z;
-        let dot: f64 = rho
-            .data
-            .iter()
-            .zip(&phi.data)
-            .map(|(a, b)| a.re * b.re)
-            .sum();
-        0.5 * COULOMB * cell_vol * dot
-    }
-
-    /// Gaussian-interpolate forces from the potential grid.
-    ///
-    /// Grid discretization leaves a small spurious net force; as in
-    /// production PME codes, the mean net force is subtracted evenly over
-    /// the charged atoms so the k-space term conserves momentum exactly.
-    /// Convenience wrapper building its own [`StencilTables`]; the engine
-    /// reuses the tables filled during spreading.
-    pub fn interpolate_forces(
-        &self,
-        phi: &Grid3,
-        positions: &[Vec3],
-        charges: &[f64],
-        forces: &mut [Vec3],
-    ) {
-        let mut tables = StencilTables::new();
-        self.fill_tables(positions, charges, &mut tables);
-        let mut buffers = vec![Vec::new()];
-        self.interpolate_tables_chunked(phi, &tables, forces, &mut buffers, false);
-    }
-
     /// One charged slot's interpolated k-space force from the separable
     /// tables (including the `q·C·h³` prefactor, excluding the momentum
-    /// correction). The z-inner loop gathers two lane-batched sums — the
-    /// plain weight sum for the x/y components and the `rz`-moment sum for
-    /// the z component — so each stencil point costs one grid read and two
-    /// fused multiply-adds per lane.
+    /// correction), read from the potential in the padded real grid. Each
+    /// stencil z-row is one contiguous run of the padded row, so the inner
+    /// loop gathers two lane-batched sums — the plain weight sum for the
+    /// x/y components and the `rz`-moment sum for the z component — at one
+    /// sequential read and two multiply-adds per lane and point.
     #[inline]
-    fn interp_force_slot(&self, t: &StencilTables, phi: &Grid3, s: usize) -> Vec3 {
+    fn interp_force_slot(&self, t: &StencilTables, phi: &[f64], s: usize) -> Vec3 {
         let c = &self.ctx;
         let [wxl, wyl, wzl] = c.widths;
-        let nz = self.params.nz;
-        let nynz = self.params.ny * nz;
-        let gz = &t.gz[s * wzl..(s + 1) * wzl];
+        let plane_len = self.plane_len();
+        let z0 = t.z0[s] as usize;
         let wz = &t.wz[s * wzl..(s + 1) * wzl];
         let rz = &t.rz[s * wzl..(s + 1) * wzl];
         let mut f = Vec3::ZERO;
@@ -617,12 +630,11 @@ impl Gse {
             let wxv = t.wx[s * wxl + dx];
             let rxv = t.rx[s * wxl + dx];
             let px = t.gx[s * wxl + dx] as usize;
-            let plane = &phi.data[px * nynz..(px + 1) * nynz];
+            let plane = &phi[px * plane_len..(px + 1) * plane_len];
             for dy in 0..wyl {
                 let wxy = wxv * t.wy[s * wyl + dy];
-                let yo = t.yoff[s * wyl + dy] as usize;
-                let row = &plane[yo..yo + nz];
-                let (s0, s1) = interp_row_lanes(row, gz, wz, rz);
+                let at = t.yoff[s * wyl + dy] as usize + z0;
+                let (s0, s1) = interp_row_lanes(&plane[at..at + wzl], wz, rz);
                 // F_j = −q h³ Σ φ(g) · w(d) · d / σ², d = r_g − r_j.
                 f.x += rxv * (wxy * s0);
                 f.y += t.ry[s * wyl + dy] * (wxy * s0);
@@ -638,9 +650,13 @@ impl Gse {
     /// boundaries depend only on `buffers.len()`, and the ordered reduction
     /// visits slots in atom-index order, so the parallel result is bitwise
     /// identical to the serial one.
+    ///
+    /// Grid discretization leaves a small spurious net force; as in
+    /// production PME codes, the mean net force is subtracted evenly over
+    /// the charged atoms so the k-space term conserves momentum exactly.
     fn interpolate_tables_chunked(
         &self,
-        phi: &Grid3,
+        phi: &[f64],
         t: &StencilTables,
         forces: &mut [Vec3],
         buffers: &mut [Vec<(usize, Vec3)>],
@@ -689,18 +705,18 @@ impl Gse {
             }
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Pre-rework fused kernels, kept as oracles: one fused Gaussian `exp`
-    // and one `rem_euclid` per grid point, spherical support truncation.
-    // `tests::separable_matches_fused_reference` scores the separable
-    // kernels against them.
-    // ------------------------------------------------------------------
-
+/// Pre-rework fused kernels, kept as test oracles: one fused Gaussian `exp`
+/// and one `rem_euclid` per grid point, spherical support truncation.
+/// `tests::separable_matches_fused_reference` scores the separable kernels
+/// against them.
+#[cfg(test)]
+impl Gse {
     /// Fused-kernel reference spread (the pre-separable implementation):
     /// `O(R³)` transcendental calls per atom, spherical support. Kept as
-    /// the accuracy/perf baseline; not a per-step path.
-    pub fn spread_into_reference(&self, positions: &[Vec3], charges: &[f64], rho: &mut Grid3) {
+    /// the accuracy baseline.
+    fn spread_into_reference(&self, positions: &[Vec3], charges: &[f64], rho: &mut Grid3) {
         let p = &self.params;
         let c = &self.ctx;
         for (&pos, &q) in positions.iter().zip(charges) {
@@ -783,7 +799,7 @@ impl Gse {
 
     /// Fused-kernel reference interpolation with the same momentum
     /// correction as the separable path.
-    pub fn interpolate_forces_reference(
+    fn interpolate_forces_reference(
         &self,
         phi: &Grid3,
         positions: &[Vec3],
@@ -812,9 +828,9 @@ impl Gse {
     }
 
     /// Full fused-kernel reference pipeline: reference spread, the shared
-    /// convolution, reference interpolation. The "before" kernel the gate
-    /// and bench compare the separable path against.
-    pub fn energy_forces_reference(
+    /// convolution, reference interpolation. The "before" kernel the
+    /// accuracy gate compares the separable path against.
+    fn energy_forces_reference(
         &self,
         positions: &[Vec3],
         charges: &[f64],
@@ -822,52 +838,69 @@ impl Gse {
     ) -> f64 {
         let mut rho = Grid3::zeros(self.params.nx, self.params.ny, self.params.nz);
         self.spread_into_reference(positions, charges, &mut rho);
-        let phi = self.solve_potential(&rho);
-        let energy = self.grid_energy(&rho, &phi);
+        let mut phi = rho.clone();
+        self.plan.forward(&mut phi);
+        for (v, &g) in phi.data.iter_mut().zip(&self.ghat) {
+            *v = v.scale(g);
+        }
+        self.plan.inverse(&mut phi);
+        let dot: f64 = rho
+            .data
+            .iter()
+            .zip(&phi.data)
+            .map(|(a, b)| a.re * b.re)
+            .sum();
+        let energy = 0.5 * COULOMB * self.ctx.cell_vol * dot;
         self.interpolate_forces_reference(&phi, positions, charges, forces);
         energy
     }
 }
 
-/// Accumulate one z-row of a stencil column: `row[gz[k]] += scale · wz[k]`,
-/// batched into [`LANES`]-wide product lanes with a scalar tail. The
-/// scatter applies lanes in ascending `k`, preserving the serial
-/// accumulation order (wrapped indices may repeat on sub-support grids).
+/// Accumulate one z-row of a stencil column: `row[(z0 + k) mod nz] +=
+/// scale · wz[k]`. When the stencil fits the row (`wz.len() ≤ nz`) every
+/// cell is hit at most once, so the row is written as two contiguous runs,
+/// split where it wraps at `nz`. A sub-support row (`wz.len() > nz`) hits
+/// cells several times and keeps the ascending-`k` wrapped loop. Either way
+/// each cell receives its contributions in the serial `(slot, dx, dy, k)`
+/// order, with the same products.
 #[inline]
-fn spread_row_lanes(row: &mut [C64], gz: &[u32], wz: &[f64], scale: f64) {
-    let n = wz.len();
-    let mut k = 0;
-    while k + LANES <= n {
-        let mut vals = [0.0f64; LANES];
-        for l in 0..LANES {
-            vals[l] = scale * wz[k + l];
+fn spread_row(row: &mut [f64], z0: usize, wz: &[f64], scale: f64) {
+    let nz = row.len();
+    if wz.len() <= nz {
+        let first = (nz - z0).min(wz.len());
+        let (head, tail) = wz.split_at(first);
+        for (r, &w) in row[z0..z0 + first].iter_mut().zip(head) {
+            *r += scale * w;
         }
-        for l in 0..LANES {
-            row[gz[k + l] as usize].re += vals[l];
+        for (r, &w) in row.iter_mut().zip(tail) {
+            *r += scale * w;
         }
-        k += LANES;
-    }
-    while k < n {
-        row[gz[k] as usize].re += scale * wz[k];
-        k += 1;
+    } else {
+        let mut z = z0;
+        for &w in wz {
+            row[z] += scale * w;
+            z += 1;
+            if z == nz {
+                z = 0;
+            }
+        }
     }
 }
 
-/// Gather one z-row of an interpolation stencil: returns
-/// `(Σ wz·φ, Σ rz·wz·φ)` accumulated in [`LANES`] independent lanes that
-/// are reduced in fixed lane order, then a scalar tail. The expression
-/// tree depends only on the row length, so serial and parallel callers get
-/// identical bits.
+/// Gather one z-row of an interpolation stencil from a contiguous run of a
+/// padded potential row: returns `(Σ wz·φ, Σ rz·wz·φ)` accumulated in
+/// [`LANES`] independent lanes that are reduced in fixed lane order, then a
+/// scalar tail. The expression tree depends only on the row length, so
+/// serial and parallel callers get identical bits.
 #[inline]
-fn interp_row_lanes(row: &[C64], gz: &[u32], wz: &[f64], rz: &[f64]) -> (f64, f64) {
+fn interp_row_lanes(row: &[f64], wz: &[f64], rz: &[f64]) -> (f64, f64) {
     let n = wz.len();
     let mut s0l = [0.0f64; LANES];
     let mut s1l = [0.0f64; LANES];
     let mut k = 0;
     while k + LANES <= n {
         for l in 0..LANES {
-            let p = row[gz[k + l] as usize].re;
-            let w = wz[k + l] * p;
+            let w = wz[k + l] * row[k + l];
             s0l[l] += w;
             s1l[l] += rz[k + l] * w;
         }
@@ -880,8 +913,7 @@ fn interp_row_lanes(row: &[C64], gz: &[u32], wz: &[f64], rz: &[f64]) -> (f64, f6
         s1 += s1l[l];
     }
     while k < n {
-        let p = row[gz[k] as usize].re;
-        let w = wz[k] * p;
+        let w = wz[k] * row[k];
         s0 += w;
         s1 += rz[k] * w;
         k += 1;
@@ -896,10 +928,15 @@ struct SpreadCtx {
     norm: f64,
     inv_s2: f64,
     inv_2s2: f64,
+    /// Squared support radius: the fused oracles' spherical cutoff.
+    #[cfg(test)]
     sup_sq: f64,
     reach: [i64; 3],
     /// Per-axis stencil widths, `2·reach + 1`.
     widths: [usize; 3],
+    /// Padded z-row length of the real grid, `nz + widths[2] − 1`: a
+    /// stencil row starting at any `z0 < nz` lies inside one padded row.
+    zrow: usize,
 }
 
 impl SpreadCtx {
@@ -910,26 +947,34 @@ impl SpreadCtx {
             (p.support / h.y).ceil() as i64,
             (p.support / h.z).ceil() as i64,
         ];
+        let widths = [
+            (2 * reach[0] + 1) as usize,
+            (2 * reach[1] + 1) as usize,
+            (2 * reach[2] + 1) as usize,
+        ];
         SpreadCtx {
             h,
             cell_vol: h.x * h.y * h.z,
             norm: (2.0 * PI * p.sigma * p.sigma).powf(-1.5),
             inv_s2: 1.0 / (p.sigma * p.sigma),
             inv_2s2: 1.0 / (2.0 * p.sigma * p.sigma),
+            #[cfg(test)]
             sup_sq: p.support * p.support,
-            widths: [
-                (2 * reach[0] + 1) as usize,
-                (2 * reach[1] + 1) as usize,
-                (2 * reach[2] + 1) as usize,
-            ],
+            widths,
+            zrow: p.nz + widths[2] - 1,
             reach,
         }
+    }
+
+    /// Grid points in one atom's stencil.
+    fn stencil_points(&self) -> u64 {
+        (self.widths[0] * self.widths[1] * self.widths[2]) as u64
     }
 }
 
 /// Separable stencil tables for one configuration: the charged-atom list
 /// and, per charged atom, per-axis 1D Gaussian weights, grid-to-atom
-/// offsets, and wrapped grid indices (`O(3R)` transcendental work per
+/// offsets, and wrapped grid positions (`O(3R)` transcendental work per
 /// atom), plus the counting-sort CSR that bins stencil columns by
 /// destination x-plane for the deterministic parallel scatter. All buffers
 /// are retained and cursor-overwritten, so refills are allocation-free in
@@ -951,14 +996,16 @@ pub struct StencilTables {
     wy: Vec<f64>,
     /// Grid-point-to-atom y offsets, `n × widths[1]`.
     ry: Vec<f64>,
-    /// Wrapped y-row offsets (`gy · nz`) into a plane, `n × widths[1]`.
+    /// Wrapped y-row offsets (`gy · zrow`) into a real-grid plane,
+    /// `n × widths[1]`.
     yoff: Vec<u32>,
     /// 1D z-axis Gaussian weights, `n × widths[2]`.
     wz: Vec<f64>,
     /// Grid-point-to-atom z offsets, `n × widths[2]`.
     rz: Vec<f64>,
-    /// Wrapped z indices within a row, `n × widths[2]`.
-    gz: Vec<u32>,
+    /// Wrapped z index of each slot's first stencil point, `n`; point `k`
+    /// of a stencil row sits at `(z0 + k) mod nz`.
+    z0: Vec<u32>,
     /// CSR offsets per x-plane into the item arrays, `nx + 1`.
     plane_start: Vec<u32>,
     /// Slot of each binned stencil column, plane-major, `(slot, dx)`-sorted
@@ -985,7 +1032,7 @@ impl StencilTables {
             yoff: Vec::new(),
             wz: Vec::new(),
             rz: Vec::new(),
-            gz: Vec::new(),
+            z0: Vec::new(),
             plane_start: Vec::new(),
             item_slot: Vec::new(),
             item_dx: Vec::new(),
@@ -1005,14 +1052,22 @@ impl Default for StencilTables {
     }
 }
 
-/// Reusable per-step buffers for [`Gse::energy_forces_with`]: the density
-/// and potential grids, FFT scratch, the separable stencil tables (filled
-/// once per evaluation, shared by spreading and interpolation), and the
+/// Reusable per-step buffers for [`Gse::energy_forces_with`]: the real
+/// grid, the complex FFT buffer, the separable stencil tables (filled once
+/// per evaluation, shared by spreading and interpolation), and the
 /// per-chunk interpolation accumulators. After warm-up, holding one of
 /// these makes the whole k-space pipeline allocation-free.
+///
+/// The real grid stores `nx × ny` z-rows of `nz + wz − 1` points (`wz` the
+/// z-stencil width). The spread accumulates ρ into the first `nz` points
+/// of each row; after the inverse FFT the same buffer is overwritten with
+/// φ's real part and each row's tail is filled with its wrapped head, so
+/// every interpolation stencil row is one contiguous run of `wz` points.
+/// Beside the `nx·ny·nz` complex FFT buffer that is ≈ 25 B per grid point
+/// for the production stencils.
 pub struct GseWorkspace {
-    rho: Grid3,
-    phi: Grid3,
+    real: Vec<f64>,
+    grid: Grid3,
     fft: Fft3Scratch,
     added: Vec<Vec<(usize, Vec3)>>,
     tables: StencilTables,
@@ -1023,22 +1078,20 @@ impl GseWorkspace {
     pub fn for_gse(gse: &Gse) -> Self {
         let p = &gse.params;
         GseWorkspace {
-            rho: Grid3::zeros(p.nx, p.ny, p.nz),
-            phi: Grid3::zeros(p.nx, p.ny, p.nz),
+            real: vec![0.0; p.nx * p.ny * gse.ctx.zrow],
+            grid: Grid3::zeros(p.nx, p.ny, p.nz),
             fft: Fft3Scratch::for_grid(p.nx, p.ny, p.nz),
             added: (0..INTERP_CHUNKS).map(|_| Vec::new()).collect(),
             tables: StencilTables::new(),
         }
     }
 
-    /// The charge-density grid from the most recent evaluation.
+    /// The `nx × ny × nz` complex FFT buffer. After an evaluation it holds
+    /// the inverse transform of the convolution: the potential φ (in units
+    /// of C·charge/Å) in the real parts, rounding residue in the imaginary
+    /// parts. The density ρ itself is not kept.
     pub fn rho(&self) -> &Grid3 {
-        &self.rho
-    }
-
-    /// The potential grid from the most recent evaluation.
-    pub fn phi(&self) -> &Grid3 {
-        &self.phi
+        &self.grid
     }
 }
 
@@ -1302,6 +1355,16 @@ mod tests {
         assert!(p.spacing(&pbc).x <= 1.25 * p.sigma + 1e-12);
         // σ² < 1/(4α²).
         assert!(p.sigma * p.sigma < 1.0 / (4.0 * 0.35 * 0.35));
+    }
+
+    #[test]
+    #[should_panic(expected = "sized for another solver")]
+    fn spread_into_rejects_a_grid_of_another_shape() {
+        let (pbc, positions, charges) = test_charges();
+        let gse = Gse::new(0.5, pbc, GseParams::for_box(0.5, &pbc));
+        let p = gse.params;
+        let mut rho = Grid3::zeros(p.nx, p.ny, p.nz / 2);
+        gse.spread_into(&positions, &charges, &mut rho);
     }
 
     #[test]

@@ -121,3 +121,68 @@ proptest! {
         std::env::remove_var("RAYON_NUM_THREADS");
     }
 }
+
+/// FNV-1a over the bits of every force component, in atom order.
+fn force_digest(forces: &[Vec3]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for f in forces {
+        for c in [f.x, f.y, f.z] {
+            h = (h ^ c.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(energy bits, force digest)` of one evaluation on the serial path and on
+/// the parallel path at 1, 2 and 3 threads, in that order.
+fn kspace_bits(gse: &Gse, positions: &[Vec3], charges: &[f64]) -> Vec<(u64, u64)> {
+    let mut ws = GseWorkspace::for_gse(gse);
+    let mut out = Vec::new();
+    for (parallel, threads) in [(false, 1), (true, 1), (true, 2), (true, 3)] {
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+        let mut f = vec![Vec3::ZERO; positions.len()];
+        let e = gse.energy_forces_with(positions, charges, &mut f, &mut ws, parallel);
+        out.push((e.to_bits(), force_digest(&f)));
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+    out
+}
+
+/// Bits pinned from the layout before the padded real grid and the
+/// row-batched FFT passes: a layout change must not move a single bit of
+/// the energy or the forces, on the serial or the parallel path. The box is
+/// non-cubic, so each axis has its own grid length and stencil width.
+#[test]
+fn energy_and_forces_pinned_on_normal_box() {
+    let pbc = PbcBox::new(21.0, 17.5, 24.0);
+    let (positions, charges) = cloud(7, 300, 17.5);
+    let gse = Gse::new(0.5, pbc, GseParams::for_box(0.5, &pbc));
+    let expect = (0x40bc_3ddb_af2f_6b9e, 0x024d_2df8_9dc8_542f);
+    for (i, got) in kspace_bits(&gse, &positions, &charges)
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(got, expect, "case {i}: {got:#x?}");
+    }
+}
+
+/// The same pin on a sub-support grid: four z-planes under a 9-point
+/// z-stencil, so every stencil row wraps the z axis more than twice, and
+/// 15-point x/y stencils on 8-point axes.
+#[test]
+fn energy_and_forces_pinned_on_sub_support_box() {
+    let pbc = PbcBox::cubic(4.5);
+    let (positions, charges) = cloud(11, 40, 4.5);
+    let params = GseParams {
+        nz: 4,
+        ..GseParams::for_box(0.5, &pbc)
+    };
+    let gse = Gse::new(0.5, pbc, params);
+    let expect = (0x4066_3a9a_dcfe_7970, 0xba91_605c_eda5_3944);
+    for (i, got) in kspace_bits(&gse, &positions, &charges)
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(got, expect, "case {i}: {got:#x?}");
+    }
+}
